@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExpressionAst, evaluate, unparse
+from .expr import ExpressionAst, ExpressionDomainError, evaluate, unparse
 from .family import LineFamily
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
@@ -101,10 +101,7 @@ class _GridScan:
 
 def _scan(family: LineFamily, grid_n: int) -> _GridScan:
     ts = parameter_grid(family.domain, grid_n)
-    tp = np.empty(grid_n)
-    ap = np.empty(grid_n)
-    for i, t in enumerate(ts):
-        tp[i], ap[i] = _first_derivatives(family, float(t))
+    tp, ap = _first_derivatives(family, ts)
     scale_theta = float(np.max(np.abs(tp))) or 1.0
     scale_a = float(np.max(np.abs(ap))) or 1.0
     length = family.domain[1] - family.domain[0]
@@ -113,7 +110,8 @@ def _scan(family: LineFamily, grid_n: int) -> _GridScan:
     return _GridScan(ts, tp, ap, scale_theta, scale_a, cell, delta_flat)
 
 
-def _first_derivatives(family: LineFamily, t: float) -> tuple[float, float]:
+def _first_derivatives(family: LineFamily, t):
+    """theta' and a' at t, a float or an array of parameters."""
     c, s, a = family.coeff_jets(t, 1)
     return c.coeffs[0] * s.coeffs[1] - s.coeffs[0] * c.coeffs[1], a.coeffs[1]
 
@@ -132,17 +130,8 @@ def grid_profile(family: LineFamily, grid_n: int) -> dict[str, float]:
 def _singular_runs(scan: _GridScan) -> list[tuple[int, int]]:
     """Maximal index runs [start, end] where |theta'| sits inside the band."""
     mask = np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, flagged in enumerate(mask):
-        if flagged and start is None:
-            start = i
-        elif not flagged and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _is_flat_run(scan: _GridScan, run: tuple[int, int]) -> bool:
@@ -195,22 +184,17 @@ def _derivative_scales(family: LineFamily) -> tuple[tuple[float, ...], tuple[flo
     first-order scales band the singularity test.
     """
     ts = parameter_grid(family.domain, _SCALE_GRID_N)
-    th = [0.0] * LHOPITAL_DEPTH
-    aa = [0.0] * LHOPITAL_DEPTH
-    for t in ts:
-        tpj = family.theta_prime_jet(float(t), LHOPITAL_DEPTH - 1)
-        aj = family.a_jet(float(t), LHOPITAL_DEPTH)
-        for j in range(LHOPITAL_DEPTH):
-            th[j] = max(th[j], abs(tpj.coeffs[j]))
-            aa[j] = max(aa[j], abs(aj.coeffs[j + 1]))
+    tpj, apj = family.derivative_jets(ts, LHOPITAL_DEPTH)
+    th = [float(np.max(np.abs(c))) for c in tpj.coeffs]
+    aa = [float(np.max(np.abs(c))) for c in apj.coeffs]
     return (tuple(v if v > 0.0 else 1.0 for v in th),
             tuple(v if v > 0.0 else 1.0 for v in aa))
 
 
 def _classify_point(family: LineFamily, t0: float,
                     th_scales: tuple[float, ...], a_scales: tuple[float, ...]) -> SingularPoint:
-    theta_derivs = family.theta_prime_jet(t0, LHOPITAL_DEPTH - 1).coeffs  # theta'..theta''''
-    a_derivs = family.a_jet(t0, LHOPITAL_DEPTH).coeffs[1:]                # a'..a''''
+    tpj, apj = family.derivative_jets(t0, LHOPITAL_DEPTH)
+    theta_derivs, a_derivs = tpj.coeffs, apj.coeffs  # theta'..theta'''', a'..a''''
     order = None
     for j in range(1, LHOPITAL_DEPTH + 1):
         if abs(theta_derivs[j - 1]) > EPS_SING * th_scales[j - 1]:
@@ -229,7 +213,7 @@ def _classify_point(family: LineFamily, t0: float,
 
 
 def _a_flat_through_depth(family: LineFamily, t0: float, a_scales: tuple[float, ...]) -> bool:
-    a_derivs = family.a_jet(t0, LHOPITAL_DEPTH).coeffs[1:]
+    a_derivs = family.derivative_jets(t0, LHOPITAL_DEPTH)[1].coeffs
     return all(abs(a_derivs[i]) <= EPS_CRE * a_scales[i] for i in range(LHOPITAL_DEPTH))
 
 
@@ -252,13 +236,14 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[Singula
     scan = _scan(family, grid_n)
     ts, tp = scan.ts, scan.theta_prime
     band = EPS_SING * scan.scale_theta
-    mask = np.abs(tp) <= band
+    w = np.abs(tp)
+    mask = w <= band
     candidates: list[float] = []
 
-    for i in range(grid_n - 1):
-        if tp[i] * tp[i + 1] < 0.0:
-            candidates.append(_bisect_root(family, float(ts[i]), float(ts[i + 1]),
-                                           float(tp[i]), float(tp[i + 1])))
+    sign_change = tp[:-1] * tp[1:] < 0.0
+    for i in np.flatnonzero(sign_change).tolist():
+        candidates.append(_bisect_root(family, float(ts[i]), float(ts[i + 1]),
+                                       float(tp[i]), float(tp[i + 1])))
 
     for start, end in _singular_runs(scan):
         if _is_flat_run(scan, (start, end)):
@@ -271,14 +256,10 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[Singula
         candidates.append(t_min)
 
     trigger = _TANGENTIAL_TRIGGER * scan.scale_theta
-    for i in range(1, grid_n - 1):
-        w = abs(tp[i])
-        if mask[i] or w > trigger:
-            continue
-        if not (w < abs(tp[i - 1]) and w < abs(tp[i + 1])):
-            continue
-        if tp[i - 1] * tp[i] < 0.0 or tp[i] * tp[i + 1] < 0.0:
-            continue  # already handled as a sign change
+    inner = w[1:-1]
+    dips = (~mask[1:-1] & ~(inner > trigger) & (inner < w[:-2]) & (inner < w[2:])
+            & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
+    for i in (np.flatnonzero(dips) + 1).tolist():
         t_min, value = _minimize_abs(family, float(ts[i - 1]), float(ts[i + 1]))
         if value <= band:
             candidates.append(t_min)
@@ -342,9 +323,12 @@ class CreatorFunction:
     def kind(self) -> str:
         return "user" if self.user_expr is not None else "canonical"
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """b at t, a float or a 1-d array of parameters."""
         if self.user_expr is not None:
             return evaluate(self.user_expr, t)
+        if isinstance(t, np.ndarray):
+            return self._on_grid(t)
         for lo, hi, fill in self.flat_intervals:
             if lo - 1e-12 <= t <= hi + 1e-12:
                 return fill
@@ -376,6 +360,22 @@ class CreatorFunction:
         if self.unresolved_ts:
             bad = min(self.unresolved_ts, key=lambda t0: abs(t - t0))
         raise UndefinedCreatorError(float(bad))
+
+    def _on_grid(self, ts: np.ndarray) -> np.ndarray:
+        # the plain quotient wherever the float path would take it; the few
+        # parameters on flat intervals, in blend zones or in the band go
+        # through the float path itself, in order
+        tp, ap = _first_derivatives(self.family, ts)
+        plain = np.abs(tp) > EPS_SING * self.scale_theta
+        for lo, hi, _ in self.flat_intervals:
+            plain &= ~((lo - 1e-12 <= ts) & (ts <= hi + 1e-12))
+        for t0, _, radius in self.resolved:
+            plain &= ~(np.abs(ts - t0) <= radius)
+        b = np.empty(ts.shape)
+        b[plain] = ap[plain] / tp[plain]
+        for i in np.flatnonzero(~plain).tolist():
+            b[i] = self(float(ts[i]))
+        return b
 
     def __repr__(self) -> str:
         if self.user_expr is not None:
@@ -450,22 +450,28 @@ def creator_at(family: LineFamily, t: float, singulars: list[SingularPoint] | tu
     return creator(t)
 
 
+def _star_residuals(family: LineFamily, creator: CreatorFunction, ts: np.ndarray) -> np.ndarray:
+    tp, ap = _first_derivatives(family, ts)
+    return np.abs(ap - creator(ts) * tp) / (1.0 + np.abs(ap))
+
+
 def star_residual(family: LineFamily, creator: CreatorFunction,
                   ts: np.ndarray) -> tuple[float, float]:
     """Max normalized residual of a' = b theta' over ts, with its location."""
-    worst, worst_t = 0.0, float(ts[0])
-    for t in ts:
-        tp, ap = _first_derivatives(family, float(t))
-        res = abs(ap - creator(float(t)) * tp) / (1.0 + abs(ap))
-        if res > worst:
-            worst, worst_t = res, float(t)
-    return worst, worst_t
+    res = _star_residuals(family, creator, ts)
+    worst = int(np.argmax(res))
+    return float(res[worst]), float(ts[worst])
 
 
 # -- creativity -----------------------------------------------------------------
 
-def assess_creativity(family: LineFamily, grid_n: int) -> CreativityReport:
-    """Creativity verdict with witnesses and, when creative, the canonical creator."""
+def assess_creativity(family: LineFamily, grid_n: int,
+                      singulars: tuple[SingularPoint, ...] | None = None) -> CreativityReport:
+    """Creativity verdict with witnesses and, when creative, the canonical creator.
+
+    ``singulars`` are ``find_gauss_singular_points(family, grid_n)`` when the
+    caller already has them.
+    """
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
     scan = _scan(family, grid_n)
@@ -501,8 +507,9 @@ def assess_creativity(family: LineFamily, grid_n: int) -> CreativityReport:
         return any(lo - 1e-12 <= t <= hi + 1e-12 for lo, hi in flat_bounds)
 
     _, a_scales = _derivative_scales(family)
-    isolated = tuple(p for p in find_gauss_singular_points(family, grid_n)
-                     if not in_flat(p.t))
+    if singulars is None:
+        singulars = find_gauss_singular_points(family, grid_n)
+    isolated = tuple(p for p in singulars if not in_flat(p.t))
     for point in isolated:
         witnesses.append(point)
         if point.resolvable:
@@ -568,9 +575,15 @@ def build_creator(family: LineFamily, report: CreativityReport,
     creator = CreatorFunction(family, report.creator.grid_n, report.creator.scale_theta,
                               (), (), (), user_expr=user_b)
     ts = parameter_grid(family.domain, report.creator.grid_n)
-    for t in ts:
-        tp, ap = _first_derivatives(family, float(t))
-        res = abs(ap - creator(float(t)) * tp) / (1.0 + abs(ap))
-        if res > EPS_STAR:
-            raise InvalidCreatorError(float(t), res)
+    try:
+        res = _star_residuals(family, creator, ts)
+    except ExpressionDomainError as err:
+        # b leaves its domain at err.t: the relation is checked up to there
+        ts = ts[ts < err.t]
+        res = _star_residuals(family, creator, ts)
+        if not np.any(res > EPS_STAR):
+            raise
+    bad = np.flatnonzero(res > EPS_STAR)
+    if bad.size:
+        raise InvalidCreatorError(float(ts[bad[0]]), float(res[bad[0]]))
     return creator

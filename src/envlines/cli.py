@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__, analysis, svgplot
 from .analysis import (
     CREATIVE,
@@ -24,6 +26,7 @@ from .analysis import (
     FLAT_LABEL,
     INCONCLUSIVE,
     LHOPITAL_DEPTH,
+    MIN_GRID_N,
     NOT_CREATIVE,
     QUOTIENT_COND,
     ROOT_WIDTH,
@@ -54,6 +57,9 @@ from .family import (
 
 COMMANDS = ("analyze", "envelope", "discriminant", "compare", "plot")
 DEFAULT_GRID_N = 1001
+# grid arrays, and the 4(n-1)+1 verification grid, grow with n: one analyze
+# at n = 40001 peaks at about 81 MB resident
+MAX_GRID_N = 100001
 GRID_ENV_VAR = "ENVELOPE_GRID_N"
 
 EXIT_OK = 0
@@ -129,7 +135,8 @@ input modes (exactly one):
 
 other flags:
   --domain LO:HI             parameter interval (default -10:10)
-  --grid-n N                 grid size, >= 16 (default 1001; env {GRID_ENV_VAR})
+  --grid-n N                 grid size, {MIN_GRID_N}..{MAX_GRID_N} (default {DEFAULT_GRID_N}; env {GRID_ENV_VAR});
+                             memory grows with N: about 81 MB peak RSS at 40001
   --user-b EXPR              creator override (validated against a' = b theta')
   --output PATH              write here instead of stdout
   --format FMT               json | csv | svg (per-command defaults apply)
@@ -145,9 +152,13 @@ def _default_grid_n() -> int:
         value = int(raw)
     except ValueError as err:
         raise UsageError(f"{GRID_ENV_VAR} must be an integer, got {raw!r}") from err
-    if value < 16:
-        raise UsageError(f"{GRID_ENV_VAR} must be >= 16, got {value}")
+    _check_grid_n(GRID_ENV_VAR, value)
     return value
+
+
+def _check_grid_n(source: str, value: int) -> None:
+    if not MIN_GRID_N <= value <= MAX_GRID_N:
+        raise UsageError(f"{source} must be in {MIN_GRID_N}..{MAX_GRID_N}, got {value}")
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -224,10 +235,9 @@ def parse_cli(argv: list[str]) -> RunConfig:
             grid_n = int(values["--grid-n"])
         except ValueError as err:
             raise UsageError(f"--grid-n expects an integer, got {values['--grid-n']!r}") from err
+        _check_grid_n("--grid-n", grid_n)
     else:
         grid_n = _default_grid_n()
-    if grid_n < 16:
-        raise UsageError(f"--grid-n must be >= 16, got {grid_n}")
 
     default_format = {"analyze": "json", "envelope": "csv", "discriminant": "json",
                       "compare": "json", "plot": "svg"}[command]
@@ -336,10 +346,10 @@ def _build_family(config: RunConfig) -> LineFamily:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     family = _build_family(config)
     n = config.grid_n
-    report = assess_creativity(family, n)
-    uniqueness = assess_uniqueness(family, n)
     singulars = find_gauss_singular_points(family, n)
-    disc = sample_discriminant(family, n)
+    report = assess_creativity(family, n, singulars)
+    uniqueness = assess_uniqueness(family, n)
+    disc = sample_discriminant(family, n, singulars)
 
     creator = None
     curve = None
@@ -359,7 +369,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "max_tangency_residual": check.max_tangency_residual,
             "pass": check.passed,
         }
-        cmp_report = compare_methods(family, creator, n)
+        cmp_report = compare_methods(family, creator, n, disc)
         comparison = {
             "widespread_ok": cmp_report.widespread_ok,
             "failure_ts": list(cmp_report.failure_ts),
@@ -426,6 +436,7 @@ def build_document(config: RunConfig, result: PipelineResult) -> dict:
     }
     if result.creator is not None:
         ts = parameter_grid(family.domain, config.grid_n)
+        samples = zip(ts.tolist(), result.creator(ts).tolist())
         doc["creator"] = {
             "kind": result.creator.kind,
             "expression": config.user_b,
@@ -433,13 +444,14 @@ def build_document(config: RunConfig, result: PipelineResult) -> dict:
                 {"lo": lo, "hi": hi, "fill": fill}
                 for lo, hi, fill in result.creator.flat_intervals
             ],
-            "samples": [[float(t), result.creator(float(t))] for t in ts],
+            "samples": [[t, b] for t, b in samples],
         }
     else:
         doc["creator"] = None
     if result.envelope is not None:
+        curve = result.envelope
         doc["envelope"] = {
-            "samples": [[p.t, p.point[0], p.point[1]] for p in result.envelope.samples],
+            "samples": [[t, x, y] for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist())],
             "verification": result.verification,
         }
     else:
@@ -464,23 +476,25 @@ def run_analyze(config: RunConfig) -> dict:
     return build_document(config, run_pipeline(config))
 
 
+def _envelope_rows(result: PipelineResult) -> list[list[float]]:
+    """One [t, x, y, b, theta_prime, a_prime] row per envelope sample."""
+    curve = result.envelope
+    tp, ap = analysis._first_derivatives(result.family, curve.ts)
+    columns = (curve.ts, curve.points[:, 0], curve.points[:, 1], curve.b_values, tp, ap)
+    return np.column_stack(columns).tolist()
+
+
 def run_export(config: RunConfig, result: PipelineResult) -> str:
     """CSV of envelope samples: t,x,y,b,theta_prime,a_prime (LF endings)."""
     assert result.creator is not None and result.envelope is not None
     rows = ["t,x,y,b,theta_prime,a_prime"]
-    for p in result.envelope.samples:
-        tp, ap = analysis._first_derivatives(result.family, p.t)
-        rows.append(",".join(_fmt_float(v)
-                             for v in (p.t, p.point[0], p.point[1], p.b_value, tp, ap)))
+    rows += [",".join(map(_fmt_float, row)) for row in _envelope_rows(result)]
     return "\n".join(rows) + "\n"
 
 
 def _envelope_json(config: RunConfig, result: PipelineResult) -> dict:
     assert result.envelope is not None
-    rows = []
-    for p in result.envelope.samples:
-        tp, ap = analysis._first_derivatives(result.family, p.t)
-        rows.append([p.t, p.point[0], p.point[1], p.b_value, tp, ap])
+    rows = _envelope_rows(result)
     return {
         "tool": {"name": "envlines", "version": __version__},
         "config": {"mode": config.mode, "expressions": dict(config.expressions),

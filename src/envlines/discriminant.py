@@ -23,7 +23,7 @@ from .analysis import (
     find_gauss_singular_points,
     parameter_grid,
 )
-from .envelope import Creator, envelope_point
+from .envelope import Creator, envelope_points
 from .family import LineCoefficients, LineFamily
 
 POINT = "point"
@@ -57,33 +57,43 @@ class ComparisonReport:
     narrative: str
 
 
-def _classify(family: LineFamily, t: float, scale_theta: float, scale_a: float) -> SliceSolution:
-    c, s, a = family.coeff_jets(t, 1)
+def _classify(family: LineFamily, ts: np.ndarray, scale_theta: float,
+              scale_a: float) -> tuple[SliceSolution, ...]:
+    """The slice at each parameter of ts."""
+    c, s, a = family.coeff_jets(ts, 1)
     tp = c.coeffs[0] * s.coeffs[1] - s.coeffs[0] * c.coeffs[1]
     ap = a.coeffs[1]
-    if abs(tp) > EPS_SING * scale_theta:
-        q = ap / tp
-        x = a.value * c.value - q * s.value
-        y = a.value * s.value + q * c.value
-        return SliceSolution(float(t), POINT, point=(x, y))
-    if abs(ap) <= EPS_CRE * scale_a:
-        return SliceSolution(float(t), WHOLE_LINE,
-                             line=LineCoefficients((c.value, s.value), a.value))
-    return SliceSolution(float(t), EMPTY)
+    point = np.abs(tp) > EPS_SING * scale_theta
+    whole = ~point & (np.abs(ap) <= EPS_CRE * scale_a)
+    q = ap[point] / tp[point]
+    xs = np.full(ts.shape, np.nan)
+    ys = np.full(ts.shape, np.nan)
+    xs[point] = a.value[point] * c.value[point] - q * s.value[point]
+    ys[point] = a.value[point] * s.value[point] + q * c.value[point]
+    slices = []
+    for t, is_point, is_whole, x, y, cv, sv, av in zip(
+            ts.tolist(), point.tolist(), whole.tolist(), xs.tolist(), ys.tolist(),
+            c.value.tolist(), s.value.tolist(), a.value.tolist()):
+        if is_point:
+            slices.append(SliceSolution(t, POINT, point=(x, y)))
+        elif is_whole:
+            slices.append(SliceSolution(t, WHOLE_LINE, line=LineCoefficients((cv, sv), av)))
+        else:
+            slices.append(SliceSolution(t, EMPTY))
+    return tuple(slices)
 
 
 def discriminant_at(family: LineFamily, t: float, grid_n: int = 1001) -> SliceSolution:
     """Classify the t-slice of the discriminant set."""
     family.require_in_domain(t)
     scan = _scan(family, grid_n)
-    return _classify(family, float(t), scan.scale_theta, scan.scale_a)
+    return _classify(family, np.array([float(t)]), scan.scale_theta, scan.scale_a)[0]
 
 
-def _slice_parameters(family: LineFamily, n: int) -> tuple[np.ndarray, tuple[SingularPoint, ...]]:
+def _slice_parameters(family: LineFamily, n: int,
+                      singulars: tuple[SingularPoint, ...]) -> np.ndarray:
     """Uniform parameters plus the refined singular ones, sorted and deduped."""
-    ts = list(parameter_grid(family.domain, n))
-    singulars = find_gauss_singular_points(family, n)
-    merged = sorted(set(float(t) for t in ts) | set(p.t for p in singulars))
+    merged = sorted(set(parameter_grid(family.domain, n).tolist()) | set(p.t for p in singulars))
     out = [merged[0]]
     for t in merged[1:]:
         if t - out[-1] > 1e-12 * (1.0 + abs(t)):
@@ -92,40 +102,48 @@ def _slice_parameters(family: LineFamily, n: int) -> tuple[np.ndarray, tuple[Sin
             # collapse near-duplicates onto the refined singular parameter
             if any(abs(t - p.t) <= 1e-12 * (1.0 + abs(t)) for p in singulars):
                 out[-1] = t
-    return np.array(out), singulars
+    return np.array(out)
 
 
-def sample_discriminant(family: LineFamily, n: int) -> DiscriminantSet:
+def sample_discriminant(family: LineFamily, n: int,
+                        singulars: tuple[SingularPoint, ...] | None = None) -> DiscriminantSet:
     """Slice-by-slice discriminant over n uniform parameters (plus refined
-    singular parameters, which a uniform grid would miss)."""
+    singular parameters, which a uniform grid would miss).
+
+    ``singulars`` are ``find_gauss_singular_points(family, n)`` when the
+    caller already has them.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     scan = _scan(family, n)
-    ts, _ = _slice_parameters(family, n)
-    slices = tuple(_classify(family, float(t), scan.scale_theta, scan.scale_a) for t in ts)
+    if singulars is None:
+        singulars = find_gauss_singular_points(family, n)
+    slices = _classify(family, _slice_parameters(family, n, singulars),
+                       scan.scale_theta, scan.scale_a)
     cloud = tuple(sl.point for sl in slices if sl.kind == POINT)
     polluted = tuple((sl.t, sl.line) for sl in slices if sl.kind == WHOLE_LINE)
     return DiscriminantSet(slices, cloud, polluted)
 
 
-def compare_methods(family: LineFamily, creator: Creator, n: int) -> ComparisonReport:
+def compare_methods(family: LineFamily, creator: Creator, n: int,
+                    disc: DiscriminantSet | None = None) -> ComparisonReport:
     """Where (if anywhere) the discriminant method misses the envelope.
 
     The widespread method stands exactly when every slice is a single point
     that coincides with the envelope parametrization; it fails at and only
     at the singular parameters of the Gauss map, where a slice degenerates
     into the whole member line (or into nothing for a non-creative family).
+    ``disc`` is ``sample_discriminant(family, n)`` when the caller has it.
     """
-    disc = sample_discriminant(family, n)
+    if disc is None:
+        disc = sample_discriminant(family, n)
     failures = [sl.t for sl in disc.slices if sl.kind != POINT]
+    points = [sl for sl in disc.slices if sl.kind == POINT]
     mismatches = 0
-    for sl in disc.slices:
-        if sl.kind != POINT:
-            continue
-        expected = envelope_point(family, creator, sl.t).point
-        err = max(abs(sl.point[0] - expected[0]), abs(sl.point[1] - expected[1]))
-        if err > MATCH_TOL:
-            mismatches += 1
+    if points:
+        expected = envelope_points(family, creator, np.array([sl.t for sl in points]))[0]
+        err = np.max(np.abs(np.array([sl.point for sl in points]) - expected), axis=1)
+        mismatches = int(np.count_nonzero(err > MATCH_TOL))
     ok = not failures and mismatches == 0
     if ok:
         narrative = (

@@ -38,11 +38,24 @@ class EnvelopePoint:
     b_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeCurve:
-    samples: tuple[EnvelopePoint, ...]
+    """Envelope samples as arrays: parameters, points and normals (n x 2), b."""
+
+    ts: np.ndarray
+    points: np.ndarray
+    nus: np.ndarray
+    b_values: np.ndarray
     family_id: str
     creator_id: str
+
+    @property
+    def samples(self) -> tuple[EnvelopePoint, ...]:
+        return tuple(
+            EnvelopePoint(t, (x, y), (c, s), b)
+            for t, (x, y), (c, s), b in zip(self.ts.tolist(), self.points.tolist(),
+                                             self.nus.tolist(), self.b_values.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -79,13 +92,31 @@ def envelope_point(family: LineFamily, creator: Creator, t: float) -> EnvelopePo
     return EnvelopePoint(float(t), (x, y), (c.value, s.value), b)
 
 
+def envelope_points(family: LineFamily, creator: Creator,
+                    ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points and normals (n x 2) and creator values at the parameters ts,
+    in one array pass; an error names the first failing parameter."""
+    try:
+        c, s, a = (j.value for j in family.coeff_jets(ts, 0))
+        if isinstance(creator, CreatorFunction):
+            b = creator(ts)
+        else:
+            b = np.fromiter(map(creator, ts.tolist()), float, count=ts.size)
+    except ValueError:
+        for t in ts.tolist():
+            envelope_point(family, creator, t)  # raises the error of the first failing parameter
+        raise
+    points = np.column_stack((a * c - b * s, a * s + b * c))
+    return points, np.column_stack((c, s)), b
+
+
 def sample_envelope(family: LineFamily, creator: Creator, n: int) -> EnvelopeCurve:
     """The envelope at n uniform parameters across the family's domain."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    samples = tuple(envelope_point(family, creator, float(t))
-                    for t in parameter_grid(family.domain, n))
-    return EnvelopeCurve(samples, _family_token(family), _creator_token(creator))
+    ts = parameter_grid(family.domain, n)
+    points, nus, b = envelope_points(family, creator, ts)
+    return EnvelopeCurve(ts, points, nus, b, _family_token(family), _creator_token(creator))
 
 
 def verify_envelope(curve: EnvelopeCurve, family: LineFamily) -> VerificationReport:
@@ -95,14 +126,12 @@ def verify_envelope(curve: EnvelopeCurve, family: LineFamily) -> VerificationRep
     max |E'(t) . nu(t)| with E' from central differences (second-order
     one-sided stencils at the endpoints, where the tolerance doubles).
     """
-    n = len(curve.samples)
+    n = len(curve.ts)
     if n < 5:
         raise TooFewSamplesError(n)
-    ts = np.array([p.t for p in curve.samples])
-    pts = np.array([p.point for p in curve.samples])
-    nus = np.array([p.nu for p in curve.samples])
+    ts, pts, nus = curve.ts, curve.points, curve.nus
 
-    offsets = np.array([family.coeff_jets(float(t), 0)[2].value for t in ts])
+    offsets = family.coeff_jets(ts, 0)[2].value
     membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - offsets)))
 
     deriv = np.empty_like(pts)

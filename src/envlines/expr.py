@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 from .jets import MAX_ORDER, Jet, JetDomainError
 
@@ -308,46 +310,64 @@ def _render(node: ExpressionAst, parent: int) -> str:
 
 # -- evaluation --------------------------------------------------------------
 
-def evaluate_jet(expr: ExpressionAst, t: float, order: int) -> Jet:
-    """Value and derivatives of ``expr`` at ``t`` up to ``order`` (0..6)."""
+def evaluate_jet(expr: ExpressionAst, t, order: int) -> Jet:
+    """Value and derivatives of ``expr`` at ``t`` up to ``order`` (0..6).
+
+    ``t`` is a float, or a 1-d array of parameters for one jet over the whole
+    grid.  Either way a domain error names the first failing parameter.
+    """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
-    return _eval(expr, float(t), order)
+    if not isinstance(t, np.ndarray):
+        return _eval(expr, float(t), order)
+    t = t.astype(float, copy=False)
+    try:
+        with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
+            return _eval(expr, t, order)
+    except ExpressionDomainError:
+        for u in t.tolist():
+            _eval(expr, u, order)  # raises the error of the first failing parameter
+        raise
 
 
-def evaluate(expr: ExpressionAst, t: float) -> float:
-    return _eval(expr, float(t), 0).value
+def evaluate(expr: ExpressionAst, t):
+    return evaluate_jet(expr, t, 0).value
 
 
-def _eval(node: ExpressionAst, t: float, order: int) -> Jet:
+def _eval(node: ExpressionAst, t, order: int) -> Jet:
     if isinstance(node, Num):
         return Jet.constant(node.value, t, order)
     if isinstance(node, Const):
         return Jet.constant(CONSTANTS[node.name], t, order)
     if isinstance(node, Var):
         return Jet.variable(t, order)
+    if isinstance(node, Neg):
+        return -_eval(node.operand, t, order)
     try:
-        if isinstance(node, Neg):
-            return -_eval(node.operand, t, order)
         if isinstance(node, BinOp):
             left = _eval(node.left, t, order)
             right = _eval(node.right, t, order)
             if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        if isinstance(node, Pow):
+                result = left + right
+            elif node.op == "-":
+                result = left - right
+            elif node.op == "*":
+                result = left * right
+            else:
+                result = left / right
+        elif isinstance(node, Pow):
             base = _eval(node.base, t, order)
-            r = _eval(node.exponent, t, 0).value
+            # the exponent has no t, so one point gives its value everywhere
+            r = _eval(node.exponent, t if isinstance(t, float) else 0.0, 0).value
             n = round(r)
             if abs(r - n) <= 1e-12 * max(1.0, abs(r)):
-                return jets.powi(base, int(n))
-            return jets.powr(base, r)
-        func = getattr(jets, node.func if node.func != "abs" else "absolute")
-        return func(_eval(node.argument, t, order))
+                result = jets.powi(base, int(n))
+            else:
+                result = jets.powr(base, r)
+        else:
+            func = getattr(jets, node.func if node.func != "abs" else "absolute")
+            result = func(_eval(node.argument, t, order))
+        return jets.require_finite(result)
     except JetDomainError as err:
         raise ExpressionDomainError(unparse(node), t, str(err)) from err
 

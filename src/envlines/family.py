@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from . import jets
-from .expr import ExpressionAst, evaluate_jet, unparse
-from .jets import Jet, differentiate, truncate
+from .expr import ExpressionAst, ExpressionDomainError, evaluate_jet, unparse
+from .jets import Jet, any_point, differentiate, truncate
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
 EPS_DEGENERATE = 1e-12  # threshold on A^2 + B^2 below which no line is defined
@@ -24,7 +25,7 @@ UNIT_TOL = 1e-12
 _BUILD_GRID_N = 257
 _MAX_COEFF_ORDER = 6
 
-_Recipe = Callable[[float, int], tuple[Jet, Jet, Jet]]
+_Recipe = Callable[[float | np.ndarray, int], tuple[Jet, Jet, Jet]]
 
 
 class DegenerateFamilyError(ValueError):
@@ -65,7 +66,11 @@ class GaussDerivativeSample:
 
 
 class LineFamily:
-    """Immutable normalized family; all evaluation goes through cached jets."""
+    """Immutable normalized family; all evaluation goes through its jets.
+
+    Nothing is memoized: a grid of parameters is evaluated in one array pass
+    (see ``coeff_jets``), so memory grows with the grid, not with the queries.
+    """
 
     def __init__(self, mode: str, domain: tuple[float, float],
                  source_exprs: dict[str, ExpressionAst], recipe: _Recipe):
@@ -75,7 +80,7 @@ class LineFamily:
         self.mode = mode
         self.domain = (lo, hi)
         self.source_exprs = dict(source_exprs)
-        self._jets = lru_cache(maxsize=None)(recipe)
+        self._recipe = recipe
 
     def __repr__(self) -> str:
         exprs = ", ".join(f"{k}={unparse(v)!r}" for k, v in self.source_exprs.items())
@@ -90,32 +95,47 @@ class LineFamily:
         if not self.contains(t):
             raise OutOfDomainError(t, self.domain)
 
-    def coeff_jets(self, t: float, order: int) -> tuple[Jet, Jet, Jet]:
-        """Jets of (cos theta, sin theta, a) at t; order <= 6."""
+    def coeff_jets(self, t, order: int) -> tuple[Jet, Jet, Jet]:
+        """Jets of (cos theta, sin theta, a) at t; order <= 6.
+
+        ``t`` is a float, or a 1-d array of parameters for jets over the whole
+        grid; a domain error then names the first failing parameter, as a
+        loop over the grid would.
+        """
         if not 0 <= order <= _MAX_COEFF_ORDER:
             raise ValueError(f"order must be in [0, {_MAX_COEFF_ORDER}], got {order}")
-        return self._jets(float(t), order)
+        if not isinstance(t, np.ndarray):
+            return self._recipe(float(t), order)
+        t = t.astype(float, copy=False)
+        try:
+            with np.errstate(all="ignore"):  # floats overflow silently too
+                return self._recipe(t, order)
+        except (ExpressionDomainError, DegenerateFamilyError):
+            for u in t.tolist():
+                self._recipe(u, order)  # raises the error of the first failing parameter
+            raise
 
-    def a_jet(self, t: float, order: int) -> Jet:
-        return self.coeff_jets(t, order)[2]
-
-    def theta_prime_jet(self, t: float, order: int) -> Jet:
-        """Jet of theta'(t) = c s' - s c', valid to order <= 5."""
-        c, s, _ = self.coeff_jets(t, order + 1)
-        return truncate(c, order) * differentiate(s) - truncate(s, order) * differentiate(c)
+    def derivative_jets(self, t, order: int) -> tuple[Jet, Jet]:
+        """Jets of theta' = c s' - s c' and of a', both of order ``order - 1``,
+        from one evaluation of the coefficient jets of order ``order``."""
+        c, s, a = self.coeff_jets(t, order)
+        k = order - 1
+        theta_prime = truncate(c, k) * differentiate(s) - truncate(s, k) * differentiate(c)
+        return theta_prime, differentiate(a)
 
 
 def _validated(family: LineFamily) -> LineFamily:
     lo, hi = family.domain
     step = (hi - lo) / (_BUILD_GRID_N - 1)
-    for i in range(_BUILD_GRID_N):
-        t = lo + i * step
-        c, s, _ = family.coeff_jets(t, _MAX_COEFF_ORDER)
-        unit_defect = abs(c.value * c.value + s.value * s.value - 1.0)
-        if unit_defect > UNIT_TOL:
-            raise ValueError(
-                f"Gauss map left the unit circle at t = {t!r} (|c^2 + s^2 - 1| = {unit_defect!r})"
-            )
+    ts = lo + np.arange(_BUILD_GRID_N) * step
+    c, s, _ = family.coeff_jets(ts, _MAX_COEFF_ORDER)
+    unit_defect = np.abs(c.value * c.value + s.value * s.value - 1.0)
+    bad = np.flatnonzero(unit_defect > UNIT_TOL)
+    if bad.size:
+        t, defect = float(ts[bad[0]]), float(unit_defect[bad[0]])
+        raise ValueError(
+            f"Gauss map left the unit circle at t = {t!r} (|c^2 + s^2 - 1| = {defect!r})"
+        )
     return family
 
 
@@ -123,7 +143,7 @@ def build_family_normalized(theta: ExpressionAst, a: ExpressionAst,
                             domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Family given directly by a rotation angle theta(t) and offset a(t)."""
 
-    def recipe(t: float, order: int) -> tuple[Jet, Jet, Jet]:
+    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
         th = evaluate_jet(theta, t, order)
         return jets.cos(th), jets.sin(th), evaluate_jet(a, t, order)
 
@@ -139,12 +159,12 @@ def build_family_general(A: ExpressionAst, B: ExpressionAst, C: ExpressionAst,
     flips sign between neighboring parameters.
     """
 
-    def recipe(t: float, order: int) -> tuple[Jet, Jet, Jet]:
+    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
         ja = evaluate_jet(A, t, order)
         jb = evaluate_jet(B, t, order)
         jc = evaluate_jet(C, t, order)
         n2 = ja * ja + jb * jb
-        if n2.value <= EPS_DEGENERATE:
+        if any_point(n2.value <= EPS_DEGENERATE):
             raise DegenerateFamilyError(t, n2.value)
         r = jets.sqrt(n2)
         return ja / r, jb / r, -jc / r
@@ -156,7 +176,7 @@ def build_family_clairaut(g: ExpressionAst,
                           domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Family of general solutions Y = t X + g(t) of a Clairaut equation."""
 
-    def recipe(t: float, order: int) -> tuple[Jet, Jet, Jet]:
+    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
         v = Jet.variable(t, order)
         r = jets.sqrt(v * v + 1.0)
         one = Jet.constant(1.0, t, order)
@@ -169,7 +189,7 @@ def build_family_hedgehog(a: ExpressionAst,
                           domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Support-function family: theta(t) = t with offset a(t)."""
 
-    def recipe(t: float, order: int) -> tuple[Jet, Jet, Jet]:
+    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
         v = Jet.variable(t, order)
         return jets.cos(v), jets.sin(v), evaluate_jet(a, t, order)
 
@@ -186,14 +206,13 @@ def line_at(family: LineFamily, t: float) -> LineCoefficients:
 def gauss_sample(family: LineFamily, t: float) -> GaussDerivativeSample:
     """theta', a' and the next two derivatives of each at parameter t."""
     family.require_in_domain(t)
-    tp = family.theta_prime_jet(t, 2)
-    a3 = family.a_jet(t, 3)
+    tp, ap = family.derivative_jets(t, 3)
     return GaussDerivativeSample(
         t=float(t),
         theta_prime=tp.coeffs[0],
-        a_prime=a3.coeffs[1],
+        a_prime=ap.coeffs[0],
         theta_double_prime=tp.coeffs[1],
-        a_double_prime=a3.coeffs[2],
+        a_double_prime=ap.coeffs[1],
         theta_triple=tp.coeffs[2],
-        a_triple=a3.coeffs[3],
+        a_triple=ap.coeffs[2],
     )

@@ -5,6 +5,14 @@ point.  Arithmetic and the elementary functions propagate derivatives
 through the standard truncated-series recurrences, so derivatives come out
 exact (to rounding) with no step sizes to tune.
 
+The center of a jet is either one float or a 1-d numpy array of points, in
+which case every coefficient is an array over those points and one pass of
+the recurrences evaluates the whole grid (Taylor propagation on coefficient
+arrays).  Both cases run the same code and round identically element by
+element: the recurrences use only + - * /, sums accumulate left to right
+from 0.0, and every transcendental or root goes through ``math`` (numpy's
+own kernels differ from libm in the last ulp on some inputs and CPUs).
+
 Internally the recurrences run on normalized Taylor coefficients
 u_k = f^(k)/k!; the public ``Jet.coeffs`` tuple holds plain derivative
 values [f, f', f'', ...].
@@ -15,44 +23,56 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_ORDER = 6
 
 _FACT = tuple(float(math.factorial(k)) for k in range(MAX_ORDER + 1))
 
 
 class JetDomainError(ValueError):
-    """An elementary operation left its real domain (log of <= 0, etc.)."""
+    """An elementary operation left its real domain (log of <= 0, overflow, etc.)."""
 
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivative values [f(t), f'(t), ..., f^(k)(t)] of a function at ``center``."""
+    """Derivative values [f(t), f'(t), ..., f^(k)(t)] of a function at ``center``.
 
-    center: float
-    coeffs: tuple[float, ...]
+    ``center`` is a float, or a 1-d array of points with array coefficients.
+    """
+
+    center: float | np.ndarray
+    coeffs: tuple
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
+    def value(self):
         return self.coeffs[0]
 
     @staticmethod
-    def constant(value: float, center: float, order: int) -> "Jet":
+    def constant(value: float, center, order: int) -> "Jet":
+        if isinstance(center, np.ndarray):
+            zeros = np.zeros(center.shape)
+            return Jet(center, (np.full(center.shape, float(value)),) + (zeros,) * order)
         return Jet(center, (float(value),) + (0.0,) * order)
 
     @staticmethod
-    def variable(center: float, order: int) -> "Jet":
+    def variable(center, order: int) -> "Jet":
         # the identity function t -> t: value center, slope 1, rest 0
+        if isinstance(center, np.ndarray):
+            rest = (np.ones(center.shape),) + (np.zeros(center.shape),) * (order - 1)
+            return Jet(center, (center,) + rest[:order])
         if order == 0:
             return Jet(center, (float(center),))
         return Jet(center, (float(center), 1.0) + (0.0,) * (order - 1))
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.center != self.center or other.order != self.order:
+            if other.order != self.order or (other.center is not self.center
+                                             and not _same_center(other.center, self.center)):
                 raise ValueError(
                     "jet arithmetic requires equal center and order: "
                     f"({self.center}, {self.order}) vs ({other.center}, {other.order})"
@@ -90,74 +110,134 @@ class Jet:
         return self._coerce(other).__truediv__(self)
 
 
-def _taylor(j: Jet) -> list[float]:
-    return [c / _FACT[k] for k, c in enumerate(j.coeffs)]
+def _same_center(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
-def _wrap(like: Jet, taylor: list[float]) -> Jet:
-    return Jet(like.center, tuple(a * _FACT[k] for k, a in enumerate(taylor)))
+# 0! = 1! = 1: scaling the first two coefficients would change no bit
+
+def _taylor(j: Jet) -> list:
+    c = j.coeffs
+    return [*c[:2], *[c[k] / _FACT[k] for k in range(2, len(c))]]
+
+
+def _wrap(like: Jet, taylor: list) -> Jet:
+    return Jet(like.center,
+               (*taylor[:2], *[taylor[k] * _FACT[k] for k in range(2, len(taylor))]))
+
+
+# -- helpers shared by the float and the array path ---------------------------
+
+def any_point(condition) -> bool:
+    """Whether a comparison holds at the point, or anywhere on the grid."""
+    if isinstance(condition, np.ndarray):
+        return bool(condition.any())
+    return condition
+
+
+def _elementwise(f, x):
+    """The ``math`` function f at a float, or at each element of an array."""
+    try:
+        if isinstance(x, np.ndarray):
+            return np.fromiter(map(f, x.tolist()), float, count=x.size)
+        return f(x)
+    except OverflowError as err:
+        raise JetDomainError(f"{f.__name__} overflows") from err
+
+
+def require_finite(j: Jet) -> Jet:
+    """``j`` itself, unless a value or derivative overflowed to inf or nan."""
+    if isinstance(j.center, np.ndarray):
+        finite = all(np.isfinite(c).all() for c in j.coeffs)
+    else:
+        finite = all(map(math.isfinite, j.coeffs))
+    if not finite:
+        raise JetDomainError("non-finite value or derivative (overflow)")
+    return j
 
 
 # -- recurrences on normalized Taylor coefficients -----------------------
+#
+# Every sum is an explicit left-to-right accumulation from 0.0: sum() of
+# floats is compensated from Python 3.12 on and would round unlike arrays.
 
-def _mul(u: list[float], v: list[float]) -> list[float]:
-    n = len(u)
-    return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n)]
-
-
-def _div(u: list[float], v: list[float]) -> list[float]:
-    if v[0] == 0.0:
-        raise JetDomainError("division by zero")
-    w: list[float] = []
+def _mul(u: list, v: list) -> list:
+    w = []
     for k in range(len(u)):
-        acc = u[k] - sum(w[j] * v[k - j] for j in range(k))
-        w.append(acc / v[0])
+        acc = 0.0
+        for j in range(k + 1):
+            acc = acc + u[j] * v[k - j]
+        w.append(acc)
     return w
 
 
-def _exp(u: list[float]) -> list[float]:
-    w = [math.exp(u[0])]
+def _div(u: list, v: list) -> list:
+    if any_point(v[0] == 0.0):
+        raise JetDomainError("division by zero")
+    w: list = []
+    for k in range(len(u)):
+        acc = 0.0
+        for j in range(k):
+            acc = acc + w[j] * v[k - j]
+        w.append((u[k] - acc) / v[0])
+    return w
+
+
+def _exp(u: list) -> list:
+    w = [_elementwise(math.exp, u[0])]
     for k in range(1, len(u)):
-        w.append(sum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k)
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc = acc + j * u[j] * w[k - j]
+        w.append(acc / k)
     return w
 
 
-def _log(u: list[float]) -> list[float]:
-    if u[0] <= 0.0:
+def _log(u: list) -> list:
+    if any_point(u[0] <= 0.0):
         raise JetDomainError(f"log of non-positive value {u[0]!r}")
-    w = [math.log(u[0])]
+    w = [_elementwise(math.log, u[0])]
     for k in range(1, len(u)):
-        acc = u[k] - sum(j * w[j] * u[k - j] for j in range(1, k)) / k
-        w.append(acc / u[0])
+        acc = 0.0
+        for j in range(1, k):
+            acc = acc + j * w[j] * u[k - j]
+        w.append((u[k] - acc / k) / u[0])
     return w
 
 
-def _sincos(u: list[float]) -> tuple[list[float], list[float]]:
-    s = [math.sin(u[0])]
-    c = [math.cos(u[0])]
+def _sincos(u: list) -> tuple[list, list]:
+    s = [_elementwise(math.sin, u[0])]
+    c = [_elementwise(math.cos, u[0])]
     for k in range(1, len(u)):
-        s.append(sum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
-        c.append(-sum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+        acc_s = acc_c = 0.0
+        for j in range(1, k + 1):
+            acc_s = acc_s + j * u[j] * c[k - j]
+            acc_c = acc_c + j * u[j] * s[k - j]
+        s.append(acc_s / k)
+        c.append(-acc_c / k)
     return s, c
 
 
-def _sqrt(u: list[float]) -> list[float]:
-    if u[0] < 0.0:
+def _sqrt(u: list) -> list:
+    if any_point(u[0] < 0.0):
         raise JetDomainError(f"sqrt of negative value {u[0]!r}")
-    if u[0] == 0.0:
-        if len(u) == 1:
-            return [0.0]
+    if len(u) > 1 and any_point(u[0] == 0.0):
         raise JetDomainError("derivative of sqrt at zero")
-    w = [math.sqrt(u[0])]
+    # + 0.0 turns sqrt(-0.0) = -0.0 into 0.0
+    w = [_elementwise(math.sqrt, u[0]) + 0.0]
     for k in range(1, len(u)):
-        acc = u[k] - sum(w[j] * w[k - j] for j in range(1, k))
-        w.append(acc / (2.0 * w[0]))
+        acc = 0.0
+        for j in range(1, k):
+            acc = acc + w[j] * w[k - j]
+        w.append((u[k] - acc) / (2.0 * w[0]))
     return w
 
 
-def _atan(u: list[float]) -> list[float]:
+def _atan(u: list) -> list:
     n = len(u)
-    w = [math.atan(u[0])]
+    w = [_elementwise(math.atan, u[0])]
     if n == 1:
         return w
     # integrate w' = u' / (1 + u^2) term by term
@@ -182,7 +262,7 @@ def cos(j: Jet) -> Jet:
 
 def tan(j: Jet) -> Jet:
     s, c = _sincos(_taylor(j))
-    if c[0] == 0.0:
+    if any_point(c[0] == 0.0):
         raise JetDomainError("tan undefined where cos vanishes")
     return _wrap(j, _div(s, c))
 
@@ -205,13 +285,14 @@ def sqrt(j: Jet) -> Jet:
 
 def absolute(j: Jet) -> Jet:
     # smooth germ away from zeros of the argument; no one-sided derivatives
-    if j.value > 0.0:
-        return j
-    if j.value < 0.0:
-        return -j
-    if j.order == 0:
-        return Jet(j.center, (0.0,))
-    raise JetDomainError("derivative of abs at zero")
+    if j.order > 0 and any_point(j.value == 0.0):
+        raise JetDomainError("derivative of abs at zero")
+    negative = j.value < 0.0
+    if isinstance(negative, np.ndarray):
+        sign = np.where(negative, -1.0, 1.0)
+    else:
+        sign = -1.0 if negative else 1.0
+    return Jet(j.center, (abs(j.value),) + tuple(sign * c for c in j.coeffs[1:]))
 
 
 def powi(j: Jet, n: int) -> Jet:
@@ -228,7 +309,7 @@ def powi(j: Jet, n: int) -> Jet:
 
 def powr(j: Jet, r: float) -> Jet:
     """Real power via exp(r * log(base)); requires a positive base."""
-    if j.value <= 0.0:
+    if any_point(j.value <= 0.0):
         raise JetDomainError(f"real power of non-positive base {j.value!r}")
     return _wrap(j, _exp([r * a for a in _log(_taylor(j))]))
 

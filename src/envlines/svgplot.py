@@ -94,7 +94,7 @@ def render_scene(family: LineFamily,
                  singular_ts: tuple[float, ...]) -> str:
     """Compose the figure: thin family lines, the envelope (when present),
     discriminant points, dashed whole-line slices, singular markers."""
-    env_pts = [p.point for p in envelope.samples] if envelope is not None else []
+    env_pts = envelope.points.tolist() if envelope is not None else []
     cloud = list(disc.point_cloud)
     anchor = env_pts if env_pts else cloud
     xs = np.array([p[0] for p in anchor], dtype=float)

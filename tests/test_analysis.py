@@ -10,6 +10,7 @@ from envlines import (
     NON_UNIQUE,
     NOT_CREATIVE,
     UNIQUE,
+    ExpressionDomainError,
     InvalidCreatorError,
     UndefinedCreatorError,
     assess_creativity,
@@ -188,6 +189,20 @@ class TestBuildCreator:
             build_creator(rotating_pencil, report, P("1"))
         assert err.value.t == -1.0
         assert err.value.residual == pytest.approx(1.0)
+
+    def test_user_creator_leaving_its_domain_after_a_valid_prefix(self):
+        # b = a'/theta' up to t = 0.5, where log(0.5 - t) leaves its domain;
+        # the relation holds on the prefix, so the domain error is reported
+        family = build_family_normalized(P("t"), P("t^2"), (-1.0, 1.0))
+        report = assess_creativity(family, 1001)
+        with pytest.raises(ExpressionDomainError) as err:
+            build_creator(family, report, P("2*t + 0*log(0.5 - t)"))
+        assert err.value.subexpr == "log(0.5-t)"
+        assert err.value.t == float(parameter_grid((-1.0, 1.0), 1001)[750])
+        # a residual failure earlier on the grid wins over the later domain error
+        with pytest.raises(InvalidCreatorError) as err:
+            build_creator(family, report, P("t + 0*log(0.5 - t)"))
+        assert err.value.t == -1.0
 
     def test_rejects_non_creative_report(self, parallel_shift):
         report = assess_creativity(parallel_shift, 1001)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ from envlines.cli import (
     EXIT_NOT_CREATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_N,
     WORKED_EXAMPLES,
     UsageError,
     main,
@@ -60,6 +62,15 @@ class TestParseCli:
     def test_grid_n_minimum(self):
         with pytest.raises(UsageError):
             parse_cli(["analyze", "--theta", "t", "--a", "0", "--grid-n", "8"])
+
+    def test_grid_n_ceiling(self, monkeypatch):
+        base = ["analyze", "--theta", "t", "--a", "0"]
+        assert parse_cli([*base, "--grid-n", str(MAX_GRID_N)]).grid_n == MAX_GRID_N
+        with pytest.raises(UsageError):
+            parse_cli([*base, "--grid-n", str(MAX_GRID_N + 1)])
+        monkeypatch.setenv("ENVELOPE_GRID_N", str(MAX_GRID_N + 1))
+        with pytest.raises(UsageError):
+            parse_cli(base)
 
     def test_unknown_command_and_flag(self):
         with pytest.raises(UsageError):
@@ -165,6 +176,16 @@ class TestExitCodes:
     def test_expression_error_exit_five(self, capsys):
         assert main(["analyze", "--theta", "t", "--a", "log(t)", "--domain", "-1:1"]) == EXIT_EXPR_ERROR
         assert "log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, domain, subexpr", [
+        ("exp(exp(t))", "0:7", "exp(exp(t))"),         # math.exp overflows
+        ("t*1e300*1e300", "0:1", "t*1e+300*1e+300"),  # inf without an exception
+    ])
+    def test_overflow_exit_five(self, capsys, a, domain, subexpr):
+        assert main(["analyze", "--theta", "t", "--a", a, "--domain", domain]) == EXIT_EXPR_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: domain error in '{subexpr}'")
+        assert "overflow" in err
 
     def test_degenerate_coefficients_exit_five(self):
         assert main(["analyze", "--A", "0", "--B", "0", "--C", "1"]) == EXIT_EXPR_ERROR
@@ -301,6 +322,25 @@ class TestOtherCommands:
         assert main(["compare", "--g", "t^2", "--domain", "-2:2", "--grid-n", "101"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["widespread_ok"] is True
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("command", ["analyze", "envelope", "discriminant", "compare"])
+    def test_singular_points_found_once(self, monkeypatch, capsys, command):
+        from envlines import analysis
+        original = analysis.find_gauss_singular_points
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "envlines" or name.startswith("envlines.")) and \
+                    getattr(module, "find_gauss_singular_points", None) is original:
+                monkeypatch.setattr(module, "find_gauss_singular_points", spy)
+        assert main([command, *EXAMPLE1, "--grid-n", "101"]) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestJsonWriter:

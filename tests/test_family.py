@@ -185,3 +185,25 @@ class TestProperties:
             assert b.nu[0] == pytest.approx(-a.nu[0], abs=1e-14)
             assert b.nu[1] == pytest.approx(-a.nu[1], abs=1e-14)
             assert b.offset == pytest.approx(-a.offset, abs=1e-13)
+
+
+class TestNoMemo:
+    def test_family_holds_no_cache(self, sine_tangent):
+        assert not any(hasattr(value, "cache_info") for value in vars(sine_tangent).values())
+
+    def test_repeated_queries_recompute(self, monkeypatch):
+        from envlines import family as family_module
+        family = build_family_general(P("-cos t"), P("1"), P("t*cos t - sin t"))
+        original = family_module.evaluate_jet
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(family_module, "evaluate_jet", counting)
+        first = family.coeff_jets(0.5, 1)
+        once = len(calls)
+        second = family.coeff_jets(0.5, 1)
+        assert once == 3 and len(calls) == 2 * once
+        assert [j.coeffs for j in first] == [j.coeffs for j in second]
