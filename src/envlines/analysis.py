@@ -11,12 +11,12 @@ under rescaling the input family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import ExpressionAst, ExpressionDomainError, evaluate, unparse
-from .family import LineFamily
+from .family import DegenerateFamilyError, LineFamily
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
 EPS_CRE = 1e-7        # |a^(j)| band for "derivative vanishes"
@@ -140,36 +140,58 @@ def _is_flat_run(scan: _GridScan, run: tuple[int, int]) -> bool:
 
 
 # -- root refinement ---------------------------------------------------------
+#
+# Every bracket advances in lock-step: one array pass of the jets per step
+# evaluates theta' at the current points of all brackets still open, and a
+# bracket retires once it is narrow enough.  The array jets round like the
+# float jets element by element, so each bracket ends on the same bits as a
+# loop over the brackets would.
 
-def _theta_prime(family: LineFamily, t: float) -> float:
-    return _first_derivatives(family, t)[0]
+def _in_lockstep(refine, family: LineFamily, *columns: np.ndarray):
+    """``refine(family, *columns)`` on all rows at once.  If that hits a domain
+    error, the rows are replayed one at a time in row order through the same
+    function, so the error names the parameter a row-by-row loop would."""
+    try:
+        return refine(family, *columns)
+    except (ExpressionDomainError, DegenerateFamilyError):
+        for i in range(len(columns[0])):
+            refine(family, *(column[i:i + 1] for column in columns))
+        raise
 
 
-def _bisect_root(family: LineFamily, lo: float, hi: float,
-                 f_lo: float, f_hi: float) -> float:
-    while hi - lo > ROOT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        f_mid = _theta_prime(family, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
+def _bisect_roots(family: LineFamily, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, hi] of a sign change of theta' to ROOT_WIDTH."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    open_ = np.flatnonzero(hi - lo > ROOT_WIDTH)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = _first_derivatives(family, mid)[0]
+        left = (f_lo[open_] < 0.0) != (f_mid < 0.0)
+        hi[open_[left]] = mid[left]
+        lo[open_[~left]], f_lo[open_[~left]] = mid[~left], f_mid[~left]
+        exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
+        lo[open_[exact]] = hi[open_[exact]] = mid[exact]
+        open_ = open_[hi[open_] - lo[open_] > ROOT_WIDTH]
     return 0.5 * (lo + hi)
 
 
-def _minimize_abs(family: LineFamily, lo: float, hi: float) -> tuple[float, float]:
-    """Ternary search for the minimum of |theta'| on [lo, hi]."""
-    while hi - lo > ROOT_WIDTH * 0.1:
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if abs(_theta_prime(family, m1)) <= abs(_theta_prime(family, m2)):
-            hi = m2
-        else:
-            lo = m1
+def _minimize_abs(family: LineFamily, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ternary search for the minimum of |theta'| on every [lo, hi]; the
+    minimizers and |theta'| there."""
+    lo, hi = lo.copy(), hi.copy()
+    open_ = np.flatnonzero(hi - lo > ROOT_WIDTH * 0.1)
+    while open_.size:
+        third = (hi[open_] - lo[open_]) / 3.0
+        m1, m2 = lo[open_] + third, hi[open_] - third
+        w = np.abs(_first_derivatives(family, np.concatenate((m1, m2)))[0])
+        left = w[:open_.size] <= w[open_.size:]
+        hi[open_[left]] = m2[left]
+        lo[open_[~left]] = m1[~left]
+        open_ = open_[hi[open_] - lo[open_] > ROOT_WIDTH * 0.1]
     t = 0.5 * (lo + hi)
-    return t, abs(_theta_prime(family, t))
+    return t, np.abs(_first_derivatives(family, t)[0])
 
 
 # -- derivative scales and point classification -------------------------------
@@ -191,25 +213,27 @@ def _derivative_scales(family: LineFamily) -> tuple[tuple[float, ...], tuple[flo
             tuple(v if v > 0.0 else 1.0 for v in aa))
 
 
-def _classify_point(family: LineFamily, t0: float,
-                    th_scales: tuple[float, ...], a_scales: tuple[float, ...]) -> SingularPoint:
-    tpj, apj = family.derivative_jets(t0, LHOPITAL_DEPTH)
-    theta_derivs, a_derivs = tpj.coeffs, apj.coeffs  # theta'..theta'''', a'..a''''
-    order = None
-    for j in range(1, LHOPITAL_DEPTH + 1):
-        if abs(theta_derivs[j - 1]) > EPS_SING * th_scales[j - 1]:
-            order = j
-            break
-    a_prime_at = float(a_derivs[0])
-    if order is None:
-        return SingularPoint(float(t0), None, a_prime_at, False, None)
-    lower_vanish = all(
-        abs(a_derivs[i - 1]) <= EPS_CRE * a_scales[i - 1] for i in range(1, order)
-    )
-    if not lower_vanish:
-        return SingularPoint(float(t0), order, a_prime_at, False, None)
-    b_limit = float(a_derivs[order - 1] / theta_derivs[order - 1])
-    return SingularPoint(float(t0), order, a_prime_at, True, b_limit)
+def _classify_points(family: LineFamily, ts: np.ndarray, th_scales: tuple[float, ...],
+                     a_scales: tuple[float, ...]) -> tuple[SingularPoint, ...]:
+    """L'Hopital classification of every singular parameter in ts at once."""
+    tpj, apj = family.derivative_jets(ts, LHOPITAL_DEPTH)
+    theta_derivs = np.array(tpj.coeffs)  # rows j = 1..4: theta^(j), a^(j)
+    a_derivs = np.array(apj.coeffs)
+    nonzero = np.abs(theta_derivs) > EPS_SING * np.array(th_scales)[:, None]
+    a_vanish = np.abs(a_derivs) <= EPS_CRE * np.array(a_scales)[:, None]
+    points = []
+    for i, t0 in enumerate(ts.tolist()):
+        a_prime_at = float(a_derivs[0, i])
+        if not nonzero[:, i].any():
+            points.append(SingularPoint(t0, None, a_prime_at, False, None))
+            continue
+        order = int(np.argmax(nonzero[:, i])) + 1
+        if not a_vanish[:order - 1, i].all():
+            points.append(SingularPoint(t0, order, a_prime_at, False, None))
+            continue
+        b_limit = float(a_derivs[order - 1, i] / theta_derivs[order - 1, i])
+        points.append(SingularPoint(t0, order, a_prime_at, True, b_limit))
+    return tuple(points)
 
 
 def _a_flat_through_depth(family: LineFamily, t0: float, a_scales: tuple[float, ...]) -> bool:
@@ -238,43 +262,44 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[Singula
     band = EPS_SING * scan.scale_theta
     w = np.abs(tp)
     mask = w <= band
-    candidates: list[float] = []
 
     sign_change = tp[:-1] * tp[1:] < 0.0
-    for i in np.flatnonzero(sign_change).tolist():
-        candidates.append(_bisect_root(family, float(ts[i]), float(ts[i + 1]),
-                                       float(tp[i]), float(tp[i + 1])))
+    i = np.flatnonzero(sign_change)
+    candidates = _in_lockstep(_bisect_roots, family, ts[i], ts[i + 1], tp[i]).tolist()
 
+    # one ternary search per non-flat run of banded points, then one per
+    # tangential dip, kept when its minimum falls inside the band
+    run_lo, run_hi = [], []
     for start, end in _singular_runs(scan):
         if _is_flat_run(scan, (start, end)):
             candidates.append(float(0.5 * (ts[start] + ts[end])))
             continue
         best = start + int(np.argmin(np.abs(tp[start:end + 1])))
-        lo = float(ts[max(best - 1, 0)])
-        hi = float(ts[min(best + 1, grid_n - 1)])
-        t_min, _ = _minimize_abs(family, lo, hi)
-        candidates.append(t_min)
-
+        run_lo.append(ts[max(best - 1, 0)])
+        run_hi.append(ts[min(best + 1, grid_n - 1)])
     trigger = _TANGENTIAL_TRIGGER * scan.scale_theta
     inner = w[1:-1]
     dips = (~mask[1:-1] & ~(inner > trigger) & (inner < w[:-2]) & (inner < w[2:])
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
-    for i in (np.flatnonzero(dips) + 1).tolist():
-        t_min, value = _minimize_abs(family, float(ts[i - 1]), float(ts[i + 1]))
-        if value <= band:
-            candidates.append(t_min)
+    i = np.flatnonzero(dips) + 1
+    runs = len(run_lo)
+    t_min, value = _in_lockstep(_minimize_abs, family, np.concatenate((run_lo, ts[i - 1])),
+                                np.concatenate((run_hi, ts[i + 1])))
+    candidates += t_min[:runs].tolist() + t_min[runs:][value[runs:] <= band].tolist()
 
     merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (grid_n - 1)
-    accepted: list[float] = []
-    for t0 in sorted(candidates):
-        if accepted and t0 - accepted[-1] <= merge_radius:
-            if abs(_theta_prime(family, t0)) < abs(_theta_prime(family, accepted[-1])):
-                accepted[-1] = t0
+    candidates.sort()
+    size = np.abs(_first_derivatives(family, np.array(candidates))[0]).tolist()
+    accepted: list[int] = []  # indices into candidates
+    for k, t0 in enumerate(candidates):
+        if accepted and t0 - candidates[accepted[-1]] <= merge_radius:
+            if size[k] < size[accepted[-1]]:
+                accepted[-1] = k
             continue
-        accepted.append(t0)
+        accepted.append(k)
 
     th_scales, a_scales = _derivative_scales(family)
-    return tuple(_classify_point(family, t0, th_scales, a_scales) for t0 in accepted)
+    return _classify_points(family, np.array(candidates)[accepted], th_scales, a_scales)
 
 
 # -- uniqueness ----------------------------------------------------------------
@@ -398,7 +423,7 @@ def _blend_radius(family: LineFamily, t0: float, others: list[float],
     while r < cap:
         stable = True
         for probe in (t0 - r, t0 + r):
-            if lo <= probe <= hi and abs(_theta_prime(family, probe)) <= threshold:
+            if lo <= probe <= hi and abs(_first_derivatives(family, probe)[0]) <= threshold:
                 stable = False
         if stable:
             break
@@ -464,6 +489,13 @@ def star_residual(family: LineFamily, creator: CreatorFunction,
 
 
 # -- creativity -----------------------------------------------------------------
+
+_LEADS = {
+    CREATIVE: "an envelope exists (the family is creative)",
+    NOT_CREATIVE: "no envelope exists (the family is not creative)",
+    INCONCLUSIVE: "envelope existence undecided at this grid and tolerance",
+}
+
 
 def assess_creativity(family: LineFamily, grid_n: int,
                       singulars: tuple[SingularPoint, ...] | None = None) -> CreativityReport:
@@ -550,18 +582,22 @@ def assess_creativity(family: LineFamily, grid_n: int,
                 "canonical constant fill applied (any smooth b works there)"
             )
 
-    lead = {
-        CREATIVE: "an envelope exists (the family is creative)",
-        NOT_CREATIVE: "no envelope exists (the family is not creative)",
-        INCONCLUSIVE: "envelope existence undecided at this grid and tolerance",
-    }[verdict]
     notes.append(
         f"certified at grid_n = {grid_n} on [{family.domain[0]}, {family.domain[1]}] "
         f"with eps_sing = {EPS_SING}, eps_cre = {EPS_CRE}, eps_star = {EPS_STAR}, "
         f"L'Hopital depth {LHOPITAL_DEPTH}"
     )
     witnesses.sort(key=lambda p: p.t)
-    return CreativityReport(verdict, tuple(witnesses), creator, "; ".join([lead] + notes))
+    return CreativityReport(verdict, tuple(witnesses), creator,
+                            "; ".join([_LEADS[verdict]] + notes))
+
+
+def mark_unverified(report: CreativityReport, failure: str) -> CreativityReport:
+    """A creative report downgraded to inconclusive: the envelope its creator
+    gives failed verification, so the verdict cannot stand."""
+    body = report.notes.removeprefix(_LEADS[report.verdict])
+    return replace(report, verdict=INCONCLUSIVE, creator=None,
+                   notes=f"{_LEADS[INCONCLUSIVE]}{body}; {failure}")
 
 
 def build_creator(family: LineFamily, report: CreativityReport,

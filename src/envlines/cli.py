@@ -5,8 +5,9 @@ sign ("--A" "-cos t") and argparse refuses such values.  Output is
 deterministic byte-for-byte: stable key order, floats at 17 significant
 digits, LF line endings, no timestamps.
 
-Exit codes: 0 creative/success, 2 usage error, 3 not creative,
-4 inconclusive, 5 expression or domain error.
+Exit codes: 0 creative/success, 2 usage error or unwritable --output,
+3 not creative, 4 inconclusive (also after a failed envelope verification),
+5 expression or domain error.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .analysis import (
     build_creator,
     find_gauss_singular_points,
     grid_profile,
+    mark_unverified,
     parameter_grid,
 )
 from .discriminant import DiscriminantSet, compare_methods, sample_discriminant
 from .envelope import EnvelopeCurve, sample_envelope, verify_envelope
-from .expr import ExpressionDomainError, ParseError, parse_expression
+from .expr import MAX_NESTING, ExpressionDomainError, ParseError, parse_expression
 from .family import (
     DegenerateFamilyError,
     LineFamily,
@@ -141,6 +143,13 @@ other flags:
   --output PATH              write here instead of stdout
   --format FMT               json | csv | svg (per-command defaults apply)
   --example N                analyze a bundled worked example (1..{len(WORKED_EXAMPLES)})
+
+exit codes:
+  0  creative, or the command succeeded
+  2  usage error, or --output cannot be written
+  3  not creative
+  4  inconclusive, also when the envelope fails its own verification
+  5  expression or domain error, also an expression nested more than {MAX_NESTING} levels deep
 """
 
 
@@ -360,21 +369,28 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         creator = build_creator(family, report, user_ast)
         curve = sample_envelope(family, creator, n)
         # verification differentiates by finite differences; refine the grid so
-        # the h^2 truncation error sits inside the tangency band
-        fine = sample_envelope(family, creator, 4 * (n - 1) + 1)
+        # the h^2 truncation error sits inside the tangency band: four times
+        # the analysis grid, and never coarser than at the default grid, since
+        # a failed verification makes the verdict inconclusive
+        fine = sample_envelope(family, creator, 4 * (max(n, DEFAULT_GRID_N) - 1) + 1)
         check = verify_envelope(fine, family)
         verification = {
-            "n": 4 * (n - 1) + 1,
+            "n": len(fine.ts),
             "max_membership_residual": check.max_membership_residual,
             "max_tangency_residual": check.max_tangency_residual,
             "pass": check.passed,
         }
-        cmp_report = compare_methods(family, creator, n, disc)
-        comparison = {
-            "widespread_ok": cmp_report.widespread_ok,
-            "failure_ts": list(cmp_report.failure_ts),
-            "narrative": cmp_report.narrative,
-        }
+        if check.passed:
+            cmp_report = compare_methods(family, creator, n, disc)
+            comparison = {
+                "widespread_ok": cmp_report.widespread_ok,
+                "failure_ts": list(cmp_report.failure_ts),
+                "narrative": cmp_report.narrative,
+            }
+        else:
+            # the document keeps the envelope and its failed check as evidence
+            report = mark_unverified(report, f"envelope verification failed at "
+                                             f"n = {len(fine.ts)}: {check.failure}")
     return PipelineResult(family, singulars, report, uniqueness, creator,
                           curve, verification, disc, comparison)
 
@@ -547,9 +563,12 @@ def run_plot(config: RunConfig, result: PipelineResult) -> str:
 def _write(config: RunConfig, payload: str) -> None:
     if config.output is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(config.output, "w", newline="") as handle:
             handle.write(payload)
+    except OSError as err:
+        raise UsageError(f"cannot write --output {config.output!r}: {err.strerror or err}") from err
 
 
 def _verdict_code(verdict: str) -> int:
@@ -571,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(config, to_json(build_document(config, result)) + "\n")
             return _verdict_code(result.creativity.verdict)
         if config.command == "envelope":
-            if result.creator is None:
+            if result.creativity.verdict != CREATIVE:
                 sys.stderr.write(
                     f"error: family is {result.creativity.verdict}; no envelope to export\n")
                 return _verdict_code(result.creativity.verdict)
@@ -600,6 +619,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         _write(config, run_plot(config, result))
         return EXIT_OK
+    except UsageError as err:  # an unwritable --output
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_USAGE
     except (ParseError, ExpressionDomainError, DegenerateFamilyError,
             OutOfDomainError, InvalidCreatorError) as err:
         sys.stderr.write(f"error: {err}\n")

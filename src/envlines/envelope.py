@@ -63,6 +63,17 @@ class VerificationReport:
     max_tangency_residual: float
     max_membership_residual: float
     passed: bool
+    tangency_tol: float  # TANGENCY_TOL * (1 + max |E'|), doubled at the endpoints
+
+    @property
+    def failure(self) -> str | None:
+        """The first failed condition with its residual and tolerance."""
+        if self.passed:
+            return None
+        if self.max_membership_residual > MEMBERSHIP_TOL:
+            return f"membership residual {self.max_membership_residual!r} > {MEMBERSHIP_TOL}"
+        return (f"tangency residual {self.max_tangency_residual!r} > {self.tangency_tol!r} "
+                "(doubled at the endpoints)")
 
 
 def _family_token(family: LineFamily) -> str:
@@ -145,4 +156,4 @@ def verify_envelope(curve: EnvelopeCurve, family: LineFamily) -> VerificationRep
     tangency_ok = (float(np.max(tangency[1:-1])) <= scale
                    and float(max(tangency[0], tangency[-1])) <= 2.0 * scale)
     passed = membership <= MEMBERSHIP_TOL and tangency_ok
-    return VerificationReport(float(np.max(tangency)), membership, passed)
+    return VerificationReport(float(np.max(tangency)), membership, passed, scale)

@@ -20,6 +20,7 @@ valid for non-positive bases.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ import numpy as np
 from . import jets
 from .jets import MAX_ORDER, Jet, JetDomainError
 
+# Parentheses, unary minus, function calls, powers and chains of binary
+# operators each add a level; the cap keeps the parser and every recursive
+# walk of the tree (evaluation, unparsing) far inside Python's stack.
+MAX_NESTING = 100
 FUNCTIONS = ("abs", "atan", "cos", "exp", "log", "sin", "sqrt", "tan")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLE = "t"
@@ -184,6 +189,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -211,19 +217,30 @@ class _Parser:
             node = BinOp(tok.text, node, self.factor())
         return node
 
+    @contextmanager
+    def nested(self):
+        # factor and arg are where the parser recurses
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep(self.peek().offset)
+        yield
+        self.depth -= 1
+
     def factor(self) -> ExpressionAst:
-        if self.match_op("-"):
-            return Neg(self.factor())
-        node = self.atom()
-        if self.match_op("^"):
-            exponent = self.factor()
-            return _make_power(node, exponent)
-        return node
+        with self.nested():
+            if self.match_op("-"):
+                return Neg(self.factor())
+            node = self.atom()
+            if self.match_op("^"):
+                exponent = self.factor()
+                return _make_power(node, exponent)
+            return node
 
     def arg(self) -> ExpressionAst:
-        if self.match_op("-"):
-            return Neg(self.arg())
-        return self.atom()
+        with self.nested():
+            if self.match_op("-"):
+                return Neg(self.arg())
+            return self.atom()
 
     def atom(self) -> ExpressionAst:
         tok = self.peek()
@@ -271,7 +288,33 @@ def parse_expression(source: str) -> ExpressionAst:
             f"trailing input {tail.text!r}", tail.offset,
             ("'*'", "'+'", "'-'", "'/'", "'^'", "end of input"),
         )
+    if _height(node) > MAX_NESTING:  # a long chain of binary operators
+        raise _too_deep(0)
     return node
+
+
+def _too_deep(offset: int) -> ParseError:
+    return ParseError(f"expression nested more than {MAX_NESTING} levels deep", offset)
+
+
+def _height(node: ExpressionAst) -> int:
+    """Height of the tree, walked without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, Neg):
+            children = (node.operand,)
+        elif isinstance(node, BinOp):
+            children = (node.left, node.right)
+        elif isinstance(node, Pow):
+            children = (node.base, node.exponent)
+        elif isinstance(node, Apply):
+            children = (node.argument,)
+        else:
+            children = ()
+        stack.extend((child, level + 1) for child in children)
+    return height
 
 
 # -- unparser ----------------------------------------------------------------

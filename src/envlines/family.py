@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jets
 from .expr import ExpressionAst, ExpressionDomainError, evaluate_jet, unparse
-from .jets import Jet, any_point, differentiate, truncate
+from .jets import Jet, JetDomainError, any_point, differentiate, truncate
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
 EPS_DEGENERATE = 1e-12  # threshold on A^2 + B^2 below which no line is defined
@@ -166,6 +166,10 @@ def build_family_general(A: ExpressionAst, B: ExpressionAst, C: ExpressionAst,
         n2 = ja * ja + jb * jb
         if any_point(n2.value <= EPS_DEGENERATE):
             raise DegenerateFamilyError(t, n2.value)
+        try:
+            jets.require_finite(n2)
+        except JetDomainError as err:
+            raise ExpressionDomainError("A^2 + B^2", t, str(err)) from err
         r = jets.sqrt(n2)
         return ja / r, jb / r, -jc / r
 

@@ -190,6 +190,26 @@ class TestExitCodes:
     def test_degenerate_coefficients_exit_five(self):
         assert main(["analyze", "--A", "0", "--B", "0", "--C", "1"]) == EXIT_EXPR_ERROR
 
+    def test_general_mode_overflow_exit_five(self, capsys):
+        # A^2 + B^2 overflows to inf, which used to normalize to c = s = 0
+        assert main(["analyze", "--A", "1e200", "--B", "1", "--C", "0",
+                     "--domain", "0:1"]) == EXIT_EXPR_ERROR
+        assert capsys.readouterr().err == (
+            "error: domain error in 'A^2 + B^2' at t = 0.0: "
+            "non-finite value or derivative (overflow)\n")
+
+    def test_deep_nesting_exit_five(self, capsys):
+        theta = "(" * 3000 + "t" + ")" * 3000
+        assert main(["analyze", "--theta", theta, "--a", "t"]) == EXIT_EXPR_ERROR
+        assert capsys.readouterr().err == (
+            "error: expression nested more than 100 levels deep at offset 100\n")
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "doc.json"
+        assert main(["analyze", *EXAMPLE1, "--grid-n", "101", "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write --output {str(out)!r}: No such file or directory\n")
+
     def test_envelope_export_not_creative_no_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(["envelope", "--theta", "0", "--a", "t", "--domain", "-1:1",
@@ -201,6 +221,52 @@ class TestExitCodes:
         code = main(["envelope", "--theta", "t", "--a", "0", "--domain", "-1:1",
                      "--user-b", "1", "--output", str(tmp_path / "rows.csv")])
         assert code == EXIT_EXPR_ERROR
+
+
+class TestFailedVerification:
+    """A creative verdict whose envelope fails its own verification is
+    reported as inconclusive, with the failed check kept in the document."""
+
+    PROBES = {
+        # theta' = 0 at t = 0.00013, between grid points, while a' = 1
+        "hidden-stall": ["--theta", "t - 0.0001*atan((t - 0.00013)/0.0001)", "--a", "t",
+                         "--domain", "-1:1"],
+        # a pole of a at pi/2, between grid points
+        "hidden-pole": ["--theta", "t", "--a", "tan t", "--domain", "-2:2"],
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_analyze_downgrades_to_inconclusive(self, probe, capsys):
+        assert main(["analyze", *self.PROBES[probe]]) == EXIT_INCONCLUSIVE
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, SCHEMA)
+        check = doc["envelope"]["verification"]
+        assert check["pass"] is False and check["n"] == 4001
+        notes = doc["creativity"]["notes"]
+        assert doc["creativity"]["verdict"] == "inconclusive"
+        assert notes.startswith("envelope existence undecided")
+        residual = repr(check["max_tangency_residual"])
+        tail = notes.rsplit("; ", 1)[1]
+        assert tail.startswith(f"envelope verification failed at n = 4001: tangency residual {residual} > ")
+        assert tail.endswith(" (doubled at the endpoints)")
+        assert doc["comparison"] is None
+
+    @pytest.mark.parametrize("command, message", [
+        ("envelope", "no envelope to export"),
+        ("compare", "comparison needs a creator"),
+    ])
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_envelope_and_compare_exit_four(self, probe, command, message, capsys):
+        assert main([command, *self.PROBES[probe]]) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family is inconclusive; {message}\n"
+
+    def test_coarse_grid_verifies_at_the_default_resolution(self, capsys):
+        # at n = 16 a 4(n-1)+1 grid is too coarse for the finite differences
+        assert main(["analyze", *EXAMPLE1, "--grid-n", "16"]) == EXIT_OK
+        check = json.loads(capsys.readouterr().out)["envelope"]["verification"]
+        assert check["pass"] is True and check["n"] == 4001
 
 
 class TestCsvExport:

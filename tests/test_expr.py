@@ -37,6 +37,24 @@ class TestParse:
         assert err.value.offset == 3
         assert err.value.expected
 
+    @pytest.mark.parametrize("deep", [
+        "(" * 100 + "t" + ")" * 100,   # parentheses
+        "-" * 100 + "t",               # unary minus
+        "sin " * 100 + "t",            # function application
+        "t^" * 100 + "1",              # powers
+        "t+" * 100 + "t",              # a chain of binary operators
+        "(" + "t-" * 60 + "t)" + "*t" * 60,  # a chain at the bottom of a chain
+    ])
+    def test_nesting_is_capped(self, deep):
+        with pytest.raises(ParseError, match="nested more than 100 levels deep"):
+            P(deep)
+
+    @pytest.mark.parametrize("shallow", [
+        "(" * 99 + "t" + ")" * 99, "-" * 99 + "t", "t+" * 99 + "t",
+    ])
+    def test_nesting_within_the_cap_parses(self, shallow):
+        P(shallow)
+
     def test_unknown_identifier_is_named(self):
         with pytest.raises(UnknownIdentifierError) as err:
             P("2*foo(t)")
