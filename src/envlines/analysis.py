@@ -61,6 +61,8 @@ class SingularPoint:
     ``theta_derivative_order`` is the smallest j >= 1 with theta^(j) != 0
     (None when theta' is flat through order 4).  ``b_limit`` is the
     L'Hopital value a^(j)/theta^(j) when the point is resolvable.
+    ``a_flat`` is set by the L'Hopital classification when a' vanishes
+    through order 4 there as well.
     """
 
     t: float
@@ -68,6 +70,7 @@ class SingularPoint:
     a_prime_at: float
     resolvable: bool
     b_limit: float | None
+    a_flat: bool = False
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,18 @@ def parameter_grid(domain: tuple[float, float], n: int) -> np.ndarray:
     return np.linspace(domain[0], domain[1], n)
 
 
-@dataclass(frozen=True)
-class _GridScan:
+@dataclass(frozen=True, eq=False)
+class GridScan:
+    """The analysis grid after one order-1 pass of the coefficient jets: the
+    lines (c, s, a), theta' and a' at every grid parameter, and the
+    grid-derived quantities that enter the tolerance bands.  A run evaluates
+    its grid once: functions with a ``scan`` parameter read this one when
+    given it, and otherwise build their own with ``scan_grid``."""
+
     ts: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
     theta_prime: np.ndarray
     a_prime: np.ndarray
     scale_theta: float
@@ -99,26 +111,34 @@ class _GridScan:
     delta_flat: float  # minimum span of a run of singular cells to call it flat
 
 
-def _scan(family: LineFamily, grid_n: int) -> _GridScan:
+def scan_grid(family: LineFamily, grid_n: int) -> GridScan:
+    """The scan of ``family`` on its n-point analysis grid."""
     ts = parameter_grid(family.domain, grid_n)
-    tp, ap = _first_derivatives(family, ts)
+    c, s, a, tp, ap = first_order(family, ts)
     scale_theta = float(np.max(np.abs(tp))) or 1.0
     scale_a = float(np.max(np.abs(ap))) or 1.0
-    length = family.domain[1] - family.domain[0]
-    cell = length / grid_n
+    cell = (family.domain[1] - family.domain[0]) / grid_n
     delta_flat = cell * max(3.0, grid_n / 100.0)
-    return _GridScan(ts, tp, ap, scale_theta, scale_a, cell, delta_flat)
+    return GridScan(ts, c, s, a, tp, ap, scale_theta, scale_a, cell, delta_flat)
+
+
+def first_order(family: LineFamily, t):
+    """c, s, a, theta' and a' at t (a float or an array of parameters), from
+    one order-1 evaluation of the coefficient jets."""
+    c, s, a = family.coeff_jets(t, 1)
+    theta_prime = c.coeffs[0] * s.coeffs[1] - s.coeffs[0] * c.coeffs[1]
+    return c.value, s.value, a.value, theta_prime, a.coeffs[1]
 
 
 def _first_derivatives(family: LineFamily, t):
     """theta' and a' at t, a float or an array of parameters."""
-    c, s, a = family.coeff_jets(t, 1)
-    return c.coeffs[0] * s.coeffs[1] - s.coeffs[0] * c.coeffs[1], a.coeffs[1]
+    return first_order(family, t)[3:]
 
 
-def grid_profile(family: LineFamily, grid_n: int) -> dict[str, float]:
+def grid_profile(family: LineFamily, grid_n: int,
+                 scan: GridScan | None = None) -> dict[str, float]:
     """Grid-derived quantities entering the tolerance bands (for reporting)."""
-    scan = _scan(family, grid_n)
+    scan = scan or scan_grid(family, grid_n)
     return {
         "scale_theta": scan.scale_theta,
         "scale_a": scan.scale_a,
@@ -127,14 +147,14 @@ def grid_profile(family: LineFamily, grid_n: int) -> dict[str, float]:
     }
 
 
-def _singular_runs(scan: _GridScan) -> list[tuple[int, int]]:
+def _singular_runs(scan: GridScan) -> list[tuple[int, int]]:
     """Maximal index runs [start, end] where |theta'| sits inside the band."""
     mask = np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
     return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def _is_flat_run(scan: _GridScan, run: tuple[int, int]) -> bool:
+def _is_flat_run(scan: GridScan, run: tuple[int, int]) -> bool:
     span = scan.ts[run[1]] - scan.ts[run[0]]
     return span >= scan.delta_flat * (1.0 - 1e-9)
 
@@ -224,21 +244,17 @@ def _classify_points(family: LineFamily, ts: np.ndarray, th_scales: tuple[float,
     points = []
     for i, t0 in enumerate(ts.tolist()):
         a_prime_at = float(a_derivs[0, i])
+        a_flat = bool(a_vanish[:, i].all())
         if not nonzero[:, i].any():
-            points.append(SingularPoint(t0, None, a_prime_at, False, None))
+            points.append(SingularPoint(t0, None, a_prime_at, False, None, a_flat))
             continue
         order = int(np.argmax(nonzero[:, i])) + 1
         if not a_vanish[:order - 1, i].all():
-            points.append(SingularPoint(t0, order, a_prime_at, False, None))
+            points.append(SingularPoint(t0, order, a_prime_at, False, None, a_flat))
             continue
         b_limit = float(a_derivs[order - 1, i] / theta_derivs[order - 1, i])
-        points.append(SingularPoint(t0, order, a_prime_at, True, b_limit))
+        points.append(SingularPoint(t0, order, a_prime_at, True, b_limit, a_flat))
     return tuple(points)
-
-
-def _a_flat_through_depth(family: LineFamily, t0: float, a_scales: tuple[float, ...]) -> bool:
-    a_derivs = family.derivative_jets(t0, LHOPITAL_DEPTH)[1].coeffs
-    return all(abs(a_derivs[i]) <= EPS_CRE * a_scales[i] for i in range(LHOPITAL_DEPTH))
 
 
 # -- singular point search -----------------------------------------------------
@@ -246,7 +262,8 @@ def _a_flat_through_depth(family: LineFamily, t0: float, a_scales: tuple[float, 
 _TANGENTIAL_TRIGGER = 1e-3  # relative |theta'| level that prompts a local minimization
 
 
-def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[SingularPoint, ...]:
+def find_gauss_singular_points(family: LineFamily, grid_n: int,
+                               scan: GridScan | None = None) -> tuple[SingularPoint, ...]:
     """Locate and classify the parameters where theta' vanishes.
 
     Sign changes of theta' are refined by bisection to width 1e-12;
@@ -257,7 +274,7 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[Singula
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    scan = _scan(family, grid_n)
+    scan = scan or scan_grid(family, grid_n)
     ts, tp = scan.ts, scan.theta_prime
     band = EPS_SING * scan.scale_theta
     w = np.abs(tp)
@@ -304,11 +321,12 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int) -> tuple[Singula
 
 # -- uniqueness ----------------------------------------------------------------
 
-def assess_uniqueness(family: LineFamily, grid_n: int) -> UniquenessVerdict:
+def assess_uniqueness(family: LineFamily, grid_n: int,
+                      scan: GridScan | None = None) -> UniquenessVerdict:
     """Uniqueness verdict: unique iff regular points are dense at grid resolution."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
-    scan = _scan(family, grid_n)
+    scan = scan or scan_grid(family, grid_n)
     mask = np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta
     unmet = bool(np.any(mask[:-1] & mask[1:]))
     flats = tuple(
@@ -353,7 +371,7 @@ class CreatorFunction:
         if self.user_expr is not None:
             return evaluate(self.user_expr, t)
         if isinstance(t, np.ndarray):
-            return self._on_grid(t)
+            return self.on_grid(t, *_first_derivatives(self.family, t))
         for lo, hi, fill in self.flat_intervals:
             if lo - 1e-12 <= t <= hi + 1e-12:
                 return fill
@@ -386,11 +404,13 @@ class CreatorFunction:
             bad = min(self.unresolved_ts, key=lambda t0: abs(t - t0))
         raise UndefinedCreatorError(float(bad))
 
-    def _on_grid(self, ts: np.ndarray) -> np.ndarray:
+    def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
+        """b at the parameters ts, where theta' and a' are tp and ap."""
+        if self.user_expr is not None:
+            return evaluate(self.user_expr, ts)
         # the plain quotient wherever the float path would take it; the few
         # parameters on flat intervals, in blend zones or in the band go
         # through the float path itself, in order
-        tp, ap = _first_derivatives(self.family, ts)
         plain = np.abs(tp) > EPS_SING * self.scale_theta
         for lo, hi, _ in self.flat_intervals:
             plain &= ~((lo - 1e-12 <= ts) & (ts <= hi + 1e-12))
@@ -431,7 +451,7 @@ def _blend_radius(family: LineFamily, t0: float, others: list[float],
     return r
 
 
-def _flat_fills(scan: _GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
+def _flat_fills(scan: GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
     """Constant fill per flat run, extended from the nearest non-flat boundary."""
     fills: list[tuple[float, float, float]] = []
     for start, end in flat_runs:
@@ -446,7 +466,7 @@ def _flat_fills(scan: _GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple
     return fills
 
 
-def _assemble_canonical(family: LineFamily, grid_n: int, scan: _GridScan,
+def _assemble_canonical(family: LineFamily, grid_n: int, scan: GridScan,
                         isolated: tuple[SingularPoint, ...],
                         flat_runs: list[tuple[int, int]]) -> CreatorFunction:
     flats = _flat_fills(scan, flat_runs)
@@ -464,26 +484,19 @@ def creator_at(family: LineFamily, t: float, singulars: list[SingularPoint] | tu
                grid_n: int = 1001) -> float:
     """Creator value at one parameter given the classified singular points."""
     family.require_in_domain(t)
-    scan = _scan(family, grid_n)
-    all_ts = [p.t for p in singulars]
-    resolved = tuple(
-        (p.t, p.b_limit, _blend_radius(family, p.t, all_ts, scan.scale_theta, scan.cell))
-        for p in singulars if p.resolvable
-    )
-    unresolved = tuple(p.t for p in singulars if not p.resolvable)
-    creator = CreatorFunction(family, grid_n, scan.scale_theta, resolved, unresolved, ())
-    return creator(t)
+    return _assemble_canonical(family, grid_n, scan_grid(family, grid_n), singulars, [])(t)
 
 
-def _star_residuals(family: LineFamily, creator: CreatorFunction, ts: np.ndarray) -> np.ndarray:
-    tp, ap = _first_derivatives(family, ts)
-    return np.abs(ap - creator(ts) * tp) / (1.0 + np.abs(ap))
+def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,
+                    ap: np.ndarray) -> np.ndarray:
+    """Normalized residuals of a' = b theta' at ts, where theta' and a' are tp and ap."""
+    return np.abs(ap - creator.on_grid(ts, tp, ap) * tp) / (1.0 + np.abs(ap))
 
 
 def star_residual(family: LineFamily, creator: CreatorFunction,
                   ts: np.ndarray) -> tuple[float, float]:
     """Max normalized residual of a' = b theta' over ts, with its location."""
-    res = _star_residuals(family, creator, ts)
+    res = _star_residuals(creator, ts, *_first_derivatives(family, ts))
     worst = int(np.argmax(res))
     return float(res[worst]), float(ts[worst])
 
@@ -498,7 +511,8 @@ _LEADS = {
 
 
 def assess_creativity(family: LineFamily, grid_n: int,
-                      singulars: tuple[SingularPoint, ...] | None = None) -> CreativityReport:
+                      singulars: tuple[SingularPoint, ...] | None = None,
+                      scan: GridScan | None = None) -> CreativityReport:
     """Creativity verdict with witnesses and, when creative, the canonical creator.
 
     ``singulars`` are ``find_gauss_singular_points(family, grid_n)`` when the
@@ -506,7 +520,7 @@ def assess_creativity(family: LineFamily, grid_n: int,
     """
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
-    scan = _scan(family, grid_n)
+    scan = scan or scan_grid(family, grid_n)
     runs = _singular_runs(scan)
     flat_runs = [run for run in runs if _is_flat_run(scan, run)]
     flat_bounds = [(float(scan.ts[s]), float(scan.ts[e])) for s, e in flat_runs]
@@ -538,15 +552,14 @@ def assess_creativity(family: LineFamily, grid_n: int,
     def in_flat(t: float) -> bool:
         return any(lo - 1e-12 <= t <= hi + 1e-12 for lo, hi in flat_bounds)
 
-    _, a_scales = _derivative_scales(family)
     if singulars is None:
-        singulars = find_gauss_singular_points(family, grid_n)
+        singulars = find_gauss_singular_points(family, grid_n, scan)
     isolated = tuple(p for p in singulars if not in_flat(p.t))
     for point in isolated:
         witnesses.append(point)
         if point.resolvable:
             continue
-        if point.theta_derivative_order is None and _a_flat_through_depth(family, point.t, a_scales):
+        if point.theta_derivative_order is None and point.a_flat:
             undecided = True
             notes.append(
                 f"theta' and a' both vanish through order {LHOPITAL_DEPTH} at t = {point.t!r}; "
@@ -567,15 +580,21 @@ def assess_creativity(family: LineFamily, grid_n: int,
     else:
         verdict = CREATIVE
         creator = _assemble_canonical(family, grid_n, scan, isolated, flat_runs)
-        worst, worst_t = star_residual(family, creator, scan.ts)
-        if worst > EPS_STAR:
+        miss = None
+        try:
+            res = _star_residuals(creator, scan.ts, scan.theta_prime, scan.a_prime)
+        except UndefinedCreatorError as err:
+            miss = f"assembled creator is undefined at t = {err.t!r}"
+        else:
+            worst = int(np.argmax(res))
+            if res[worst] > EPS_STAR:
+                miss = (f"assembled creator misses the defining relation at "
+                        f"t = {float(scan.ts[worst])!r} "
+                        f"(normalized residual {float(res[worst])!r} > {EPS_STAR})")
+        if miss is not None:
             verdict = INCONCLUSIVE
             creator = None
-            undecided = True
-            notes.append(
-                f"assembled creator misses the defining relation at t = {worst_t!r} "
-                f"(normalized residual {worst!r} > {EPS_STAR})"
-            )
+            notes.append(miss)
         elif flat_runs:
             notes.append(
                 f"creator under-determined on {len(flat_runs)} flat interval(s); "
@@ -601,7 +620,8 @@ def mark_unverified(report: CreativityReport, failure: str) -> CreativityReport:
 
 
 def build_creator(family: LineFamily, report: CreativityReport,
-                  user_b: ExpressionAst | None = None) -> CreatorFunction:
+                  user_b: ExpressionAst | None = None,
+                  scan: GridScan | None = None) -> CreatorFunction:
     """The canonical creator from the report, or a validated user override."""
     if report.verdict != CREATIVE:
         raise ValueError(f"cannot build a creator for a {report.verdict} family")
@@ -610,13 +630,15 @@ def build_creator(family: LineFamily, report: CreativityReport,
         return report.creator
     creator = CreatorFunction(family, report.creator.grid_n, report.creator.scale_theta,
                               (), (), (), user_expr=user_b)
-    ts = parameter_grid(family.domain, report.creator.grid_n)
+    scan = scan or scan_grid(family, report.creator.grid_n)
+    ts, tp, ap = scan.ts, scan.theta_prime, scan.a_prime
     try:
-        res = _star_residuals(family, creator, ts)
+        res = _star_residuals(creator, ts, tp, ap)
     except ExpressionDomainError as err:
         # b leaves its domain at err.t: the relation is checked up to there
-        ts = ts[ts < err.t]
-        res = _star_residuals(family, creator, ts)
+        keep = ts < err.t
+        ts, tp, ap = ts[keep], tp[keep], ap[keep]
+        res = _star_residuals(creator, ts, tp, ap)
         if not np.any(res > EPS_STAR):
             raise
     bad = np.flatnonzero(res > EPS_STAR)

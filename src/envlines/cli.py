@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, analysis, svgplot
+from . import __version__, svgplot
 from .analysis import (
     CREATIVE,
     EPS_CRE,
@@ -33,8 +33,10 @@ from .analysis import (
     ROOT_WIDTH,
     CreativityReport,
     CreatorFunction,
+    GridScan,
     InvalidCreatorError,
     SingularPoint,
+    UndefinedCreatorError,
     UniquenessVerdict,
     assess_creativity,
     assess_uniqueness,
@@ -42,7 +44,7 @@ from .analysis import (
     find_gauss_singular_points,
     grid_profile,
     mark_unverified,
-    parameter_grid,
+    scan_grid,
 )
 from .discriminant import DiscriminantSet, compare_methods, sample_discriminant
 from .envelope import EnvelopeCurve, sample_envelope, verify_envelope
@@ -180,6 +182,8 @@ def _parse_domain(text: str) -> tuple[float, float]:
         raise UsageError(f"malformed interval {text!r}: {err}") from err
     if not lo < hi:
         raise UsageError(f"degenerate interval {text!r}: need LO < HI")
+    if not hi - lo < float("inf"):
+        raise UsageError(f"unbounded interval {text!r}: need HI - LO finite")
     return lo, hi
 
 
@@ -279,21 +283,21 @@ def _fmt_float(x: float) -> str:
     return text
 
 
+def _fmt_floats(template: str, values: list[float]) -> str:
+    """``template % tuple(values)``, where the template holds one ``%.17g``
+    per value: the text ``_fmt_float`` gives each value, in one pass."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        _fmt_float(values[int(np.argmin(finite))])  # raises for the first non-finite value
+    return template % tuple(values)
+
+
+_JSON_ESCAPES = {**{code: f"\\u{code:04x}" for code in range(0x20)},
+                 ord("\n"): "\\n", ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
 def _json_escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + text.translate(_JSON_ESCAPES) + '"'
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -313,6 +317,11 @@ def to_json(value, indent: int = 0) -> str:
             return "[" + ", ".join(
                 _fmt_float(v) if isinstance(v, float) else str(v) for v in value
             ) + "]"
+        if set(map(type, value)) <= {list, tuple} and len(set(map(len, value))) == 1:
+            flat = [x for row in value for x in row]
+            if flat and set(map(type, flat)) == {float}:  # rows of floats: format in bulk
+                line = inner + "[" + ", ".join(["%.17g"] * len(value[0])) + "]"
+                return "[\n" + _fmt_floats(",\n".join([line] * len(value)), flat) + "\n" + pad + "]"
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(value, bool):
@@ -328,9 +337,13 @@ def to_json(value, indent: int = 0) -> str:
 
 # -- pipeline ---------------------------------------------------------------------
 
-@dataclass
-class PipelineResult:
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Everything one run concluded, built from one scan of the analysis grid;
+    the document, the CSV and JSON exports and the figure are views of it."""
+
     family: LineFamily
+    scan: GridScan
     singulars: tuple[SingularPoint, ...]
     creativity: CreativityReport
     uniqueness: UniquenessVerdict
@@ -352,13 +365,14 @@ def _build_family(config: RunConfig) -> LineFamily:
     return build_family_hedgehog(asts["a"], config.domain)
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
+def run_pipeline(config: RunConfig) -> Analysis:
     family = _build_family(config)
     n = config.grid_n
-    singulars = find_gauss_singular_points(family, n)
-    report = assess_creativity(family, n, singulars)
-    uniqueness = assess_uniqueness(family, n)
-    disc = sample_discriminant(family, n, singulars)
+    scan = scan_grid(family, n)
+    singulars = find_gauss_singular_points(family, n, scan)
+    report = assess_creativity(family, n, singulars, scan)
+    uniqueness = assess_uniqueness(family, n, scan)
+    disc = sample_discriminant(family, n, singulars, scan)
 
     creator = None
     curve = None
@@ -366,13 +380,18 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     comparison = None
     if report.verdict == CREATIVE:
         user_ast = parse_expression(config.user_b) if config.user_b else None
-        creator = build_creator(family, report, user_ast)
-        curve = sample_envelope(family, creator, n)
+        creator = build_creator(family, report, user_ast, scan)
+        curve = sample_envelope(family, creator, n, scan)
         # verification differentiates by finite differences; refine the grid so
         # the h^2 truncation error sits inside the tangency band: four times
         # the analysis grid, and never coarser than at the default grid, since
         # a failed verification makes the verdict inconclusive
-        fine = sample_envelope(family, creator, 4 * (max(n, DEFAULT_GRID_N) - 1) + 1)
+        fine_n = 4 * (max(n, DEFAULT_GRID_N) - 1) + 1
+        try:
+            fine = sample_envelope(family, creator, fine_n)
+        except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed
+            report = mark_unverified(report, f"envelope verification failed at n = {fine_n}: {err}")
+            return Analysis(family, scan, singulars, report, uniqueness, None, None, None, disc, None)
         check = verify_envelope(fine, family)
         verification = {
             "n": len(fine.ts),
@@ -381,7 +400,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "pass": check.passed,
         }
         if check.passed:
-            cmp_report = compare_methods(family, creator, n, disc)
+            cmp_report = compare_methods(family, creator, n, disc, curve)
             comparison = {
                 "widespread_ok": cmp_report.widespread_ok,
                 "failure_ts": list(cmp_report.failure_ts),
@@ -390,9 +409,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         else:
             # the document keeps the envelope and its failed check as evidence
             report = mark_unverified(report, f"envelope verification failed at "
-                                             f"n = {len(fine.ts)}: {check.failure}")
-    return PipelineResult(family, singulars, report, uniqueness, creator,
-                          curve, verification, disc, comparison)
+                                             f"n = {fine_n}: {check.failure}")
+    return Analysis(family, scan, singulars, report, uniqueness, creator,
+                    curve, verification, disc, comparison)
 
 
 def _singular_entry(p: SingularPoint) -> dict:
@@ -406,31 +425,36 @@ def _singular_entry(p: SingularPoint) -> dict:
     }
 
 
-def build_document(config: RunConfig, result: PipelineResult) -> dict:
+def _header(config: RunConfig, family: LineFamily, *omit: str) -> dict:
+    """The ``tool`` and ``config`` blocks every JSON output opens with; each
+    command leaves out the config keys named in ``omit``."""
+    block = {
+        "command": config.command,
+        "mode": config.mode,
+        "expressions": dict(config.expressions),
+        "domain": [family.domain[0], family.domain[1]],
+        "grid_n": config.grid_n,
+        "user_b": config.user_b,
+    }
+    return {"tool": {"name": "envlines", "version": __version__},
+            "config": {key: value for key, value in block.items() if key not in omit}}
+
+
+def build_document(config: RunConfig, result: Analysis) -> dict:
     """The analysis document: everything the pipeline concluded, serializable."""
     family = result.family
-    profile = grid_profile(family, config.grid_n)
-    doc: dict = {
-        "tool": {"name": "envlines", "version": __version__},
-        "config": {
-            "command": config.command,
-            "mode": config.mode,
-            "expressions": dict(config.expressions),
-            "domain": [family.domain[0], family.domain[1]],
-            "grid_n": config.grid_n,
-            "user_b": config.user_b,
-        },
-        "tolerances": {
-            "eps_sing": EPS_SING,
-            "eps_cre": EPS_CRE,
-            "eps_star": EPS_STAR,
-            "quotient_condition": QUOTIENT_COND,
-            "root_width": ROOT_WIDTH,
-            "lhopital_depth": LHOPITAL_DEPTH,
-            "scale_theta": profile["scale_theta"],
-            "scale_a": profile["scale_a"],
-            "delta_flat": profile["delta_flat"],
-        },
+    profile = grid_profile(family, config.grid_n, result.scan)
+    doc = _header(config, family)
+    doc["tolerances"] = {
+        "eps_sing": EPS_SING,
+        "eps_cre": EPS_CRE,
+        "eps_star": EPS_STAR,
+        "quotient_condition": QUOTIENT_COND,
+        "root_width": ROOT_WIDTH,
+        "lhopital_depth": LHOPITAL_DEPTH,
+        "scale_theta": profile["scale_theta"],
+        "scale_a": profile["scale_a"],
+        "delta_flat": profile["delta_flat"],
     }
     if config.example is not None:
         entry = WORKED_EXAMPLES[config.example]
@@ -450,9 +474,8 @@ def build_document(config: RunConfig, result: PipelineResult) -> dict:
         "verdict": result.uniqueness.verdict,
         "flat_intervals": [[lo, hi] for lo, hi in result.uniqueness.flat_intervals],
     }
+    curve = result.envelope  # sampled on the analysis grid whenever there is a creator
     if result.creator is not None:
-        ts = parameter_grid(family.domain, config.grid_n)
-        samples = zip(ts.tolist(), result.creator(ts).tolist())
         doc["creator"] = {
             "kind": result.creator.kind,
             "expression": config.user_b,
@@ -460,14 +483,13 @@ def build_document(config: RunConfig, result: PipelineResult) -> dict:
                 {"lo": lo, "hi": hi, "fill": fill}
                 for lo, hi, fill in result.creator.flat_intervals
             ],
-            "samples": [[t, b] for t, b in samples],
+            "samples": np.column_stack((curve.ts, curve.b_values)).tolist(),
         }
     else:
         doc["creator"] = None
-    if result.envelope is not None:
-        curve = result.envelope
+    if curve is not None:
         doc["envelope"] = {
-            "samples": [[t, x, y] for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist())],
+            "samples": np.column_stack((curve.ts, curve.points)).tolist(),
             "verification": result.verification,
         }
     else:
@@ -492,63 +514,58 @@ def run_analyze(config: RunConfig) -> dict:
     return build_document(config, run_pipeline(config))
 
 
-def _envelope_rows(result: PipelineResult) -> list[list[float]]:
+_ENVELOPE_COLUMNS = ("t", "x", "y", "b", "theta_prime", "a_prime")
+
+
+def _envelope_rows(result: Analysis) -> np.ndarray:
     """One [t, x, y, b, theta_prime, a_prime] row per envelope sample."""
-    curve = result.envelope
-    tp, ap = analysis._first_derivatives(result.family, curve.ts)
-    columns = (curve.ts, curve.points[:, 0], curve.points[:, 1], curve.b_values, tp, ap)
-    return np.column_stack(columns).tolist()
+    curve, scan = result.envelope, result.scan
+    return np.column_stack((curve.ts, curve.points, curve.b_values,
+                            scan.theta_prime, scan.a_prime))
 
 
-def run_export(config: RunConfig, result: PipelineResult) -> str:
+def run_export(config: RunConfig, result: Analysis) -> str:
     """CSV of envelope samples: t,x,y,b,theta_prime,a_prime (LF endings)."""
     assert result.creator is not None and result.envelope is not None
-    rows = ["t,x,y,b,theta_prime,a_prime"]
-    rows += [",".join(map(_fmt_float, row)) for row in _envelope_rows(result)]
-    return "\n".join(rows) + "\n"
-
-
-def _envelope_json(config: RunConfig, result: PipelineResult) -> dict:
-    assert result.envelope is not None
     rows = _envelope_rows(result)
-    return {
-        "tool": {"name": "envlines", "version": __version__},
-        "config": {"mode": config.mode, "expressions": dict(config.expressions),
-                   "domain": [result.family.domain[0], result.family.domain[1]],
-                   "grid_n": config.grid_n, "user_b": config.user_b},
-        "columns": ["t", "x", "y", "b", "theta_prime", "a_prime"],
-        "rows": rows,
-    }
+    line = ",".join(["%.17g"] * len(_ENVELOPE_COLUMNS))
+    body = _fmt_floats("\n".join([line] * len(rows)), rows.ravel().tolist())
+    return ",".join(_ENVELOPE_COLUMNS) + "\n" + body + "\n"
 
 
-def _discriminant_csv(result: PipelineResult) -> str:
-    rows = ["t,kind,x,y"]
+def _envelope_json(config: RunConfig, result: Analysis) -> dict:
+    assert result.envelope is not None
+    doc = _header(config, result.family, "command")
+    doc["columns"] = list(_ENVELOPE_COLUMNS)
+    doc["rows"] = _envelope_rows(result).tolist()
+    return doc
+
+
+def _discriminant_csv(result: Analysis) -> str:
+    lines, values = ["t,kind,x,y"], []
     for sl in result.discriminant.slices:
         if sl.kind == "point":
-            rows.append(f"{_fmt_float(sl.t)},point,{_fmt_float(sl.point[0])},{_fmt_float(sl.point[1])}")
+            lines.append("%.17g,point,%.17g,%.17g")
+            values += (sl.t, sl.point[0], sl.point[1])
         else:
-            rows.append(f"{_fmt_float(sl.t)},{sl.kind},,")
-    return "\n".join(rows) + "\n"
+            lines.append(f"%.17g,{sl.kind},,")
+            values.append(sl.t)
+    return _fmt_floats("\n".join(lines), values) + "\n"
 
 
-def _discriminant_json(config: RunConfig, result: PipelineResult) -> dict:
-    disc = result.discriminant
-    return {
-        "tool": {"name": "envlines", "version": __version__},
-        "config": {"mode": config.mode, "expressions": dict(config.expressions),
-                   "domain": [result.family.domain[0], result.family.domain[1]],
-                   "grid_n": config.grid_n},
-        "slices": [
-            {"t": sl.t, "kind": sl.kind,
-             "point": None if sl.point is None else [sl.point[0], sl.point[1]],
-             "line": None if sl.line is None else
-             {"nu": [sl.line.nu[0], sl.line.nu[1]], "offset": sl.line.offset}}
-            for sl in disc.slices
-        ],
-    }
+def _discriminant_json(config: RunConfig, result: Analysis) -> dict:
+    doc = _header(config, result.family, "command", "user_b")
+    doc["slices"] = [
+        {"t": sl.t, "kind": sl.kind,
+         "point": None if sl.point is None else [sl.point[0], sl.point[1]],
+         "line": None if sl.line is None else
+         {"nu": [sl.line.nu[0], sl.line.nu[1]], "offset": sl.line.offset}}
+        for sl in result.discriminant.slices
+    ]
+    return doc
 
 
-def run_plot(config: RunConfig, result: PipelineResult) -> str:
+def run_plot(config: RunConfig, result: Analysis) -> str:
     return svgplot.render_scene(
         result.family,
         result.creativity.verdict,
@@ -608,12 +625,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(
                     f"error: family is {result.creativity.verdict}; comparison needs a creator\n")
                 return _verdict_code(result.creativity.verdict)
-            doc = {
-                "tool": {"name": "envlines", "version": __version__},
-                "config": {"mode": config.mode, "expressions": dict(config.expressions),
-                           "domain": [result.family.domain[0], result.family.domain[1]],
-                           "grid_n": config.grid_n},
-            }
+            doc = _header(config, result.family, "command", "user_b")
             doc.update(result.comparison)
             _write(config, to_json(doc) + "\n")
             return EXIT_OK

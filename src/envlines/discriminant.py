@@ -18,12 +18,13 @@ import numpy as np
 from .analysis import (
     EPS_CRE,
     EPS_SING,
+    GridScan,
     SingularPoint,
-    _scan,
     find_gauss_singular_points,
-    parameter_grid,
+    first_order,
+    scan_grid,
 )
-from .envelope import Creator, envelope_points
+from .envelope import Creator, EnvelopeCurve, envelope_points, sample_envelope
 from .family import LineCoefficients, LineFamily
 
 POINT = "point"
@@ -57,27 +58,25 @@ class ComparisonReport:
     narrative: str
 
 
-def _classify(family: LineFamily, ts: np.ndarray, scale_theta: float,
-              scale_a: float) -> tuple[SliceSolution, ...]:
-    """The slice at each parameter of ts."""
-    c, s, a = family.coeff_jets(ts, 1)
-    tp = c.coeffs[0] * s.coeffs[1] - s.coeffs[0] * c.coeffs[1]
-    ap = a.coeffs[1]
+def _classify(ts: np.ndarray, c: np.ndarray, s: np.ndarray, a: np.ndarray, tp: np.ndarray,
+              ap: np.ndarray, scale_theta: float, scale_a: float) -> tuple[SliceSolution, ...]:
+    """The slice at each parameter of ts, given c, s, a, theta' and a' there."""
     point = np.abs(tp) > EPS_SING * scale_theta
     whole = ~point & (np.abs(ap) <= EPS_CRE * scale_a)
     q = ap[point] / tp[point]
     xs = np.full(ts.shape, np.nan)
     ys = np.full(ts.shape, np.nan)
-    xs[point] = a.value[point] * c.value[point] - q * s.value[point]
-    ys[point] = a.value[point] * s.value[point] + q * c.value[point]
+    xs[point] = a[point] * c[point] - q * s[point]
+    ys[point] = a[point] * s[point] + q * c[point]
+    lines = {i: LineCoefficients((float(c[i]), float(s[i])), float(a[i]))
+             for i in np.flatnonzero(whole).tolist()}
     slices = []
-    for t, is_point, is_whole, x, y, cv, sv, av in zip(
-            ts.tolist(), point.tolist(), whole.tolist(), xs.tolist(), ys.tolist(),
-            c.value.tolist(), s.value.tolist(), a.value.tolist()):
+    for i, (t, is_point, x, y) in enumerate(zip(ts.tolist(), point.tolist(),
+                                                xs.tolist(), ys.tolist())):
         if is_point:
             slices.append(SliceSolution(t, POINT, point=(x, y)))
-        elif is_whole:
-            slices.append(SliceSolution(t, WHOLE_LINE, line=LineCoefficients((cv, sv), av)))
+        elif i in lines:
+            slices.append(SliceSolution(t, WHOLE_LINE, line=lines[i]))
         else:
             slices.append(SliceSolution(t, EMPTY))
     return tuple(slices)
@@ -86,14 +85,21 @@ def _classify(family: LineFamily, ts: np.ndarray, scale_theta: float,
 def discriminant_at(family: LineFamily, t: float, grid_n: int = 1001) -> SliceSolution:
     """Classify the t-slice of the discriminant set."""
     family.require_in_domain(t)
-    scan = _scan(family, grid_n)
-    return _classify(family, np.array([float(t)]), scan.scale_theta, scan.scale_a)[0]
+    scan = scan_grid(family, grid_n)
+    ts = np.array([float(t)])
+    return _classify(ts, *first_order(family, ts), scan.scale_theta, scan.scale_a)[0]
 
 
-def _slice_parameters(family: LineFamily, n: int,
-                      singulars: tuple[SingularPoint, ...]) -> np.ndarray:
+def _grid_lookup(grid: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted parameters ts: the index of each in the sorted grid, and the
+    positions of those that are not grid parameters exactly."""
+    i = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
+    return i, np.flatnonzero(grid[i] != ts)
+
+
+def _slice_parameters(grid: np.ndarray, singulars: tuple[SingularPoint, ...]) -> np.ndarray:
     """Uniform parameters plus the refined singular ones, sorted and deduped."""
-    merged = sorted(set(parameter_grid(family.domain, n).tolist()) | set(p.t for p in singulars))
+    merged = sorted(set(grid.tolist()) | set(p.t for p in singulars))
     out = [merged[0]]
     for t in merged[1:]:
         if t - out[-1] > 1e-12 * (1.0 + abs(t)):
@@ -106,42 +112,56 @@ def _slice_parameters(family: LineFamily, n: int,
 
 
 def sample_discriminant(family: LineFamily, n: int,
-                        singulars: tuple[SingularPoint, ...] | None = None) -> DiscriminantSet:
+                        singulars: tuple[SingularPoint, ...] | None = None,
+                        scan: GridScan | None = None) -> DiscriminantSet:
     """Slice-by-slice discriminant over n uniform parameters (plus refined
     singular parameters, which a uniform grid would miss).
 
     ``singulars`` are ``find_gauss_singular_points(family, n)`` when the
-    caller already has them.
+    caller already has them.  Only the singular parameters between grid
+    points are evaluated here; the rest is read from the scan.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    scan = _scan(family, n)
+    scan = scan or scan_grid(family, n)
     if singulars is None:
-        singulars = find_gauss_singular_points(family, n)
-    slices = _classify(family, _slice_parameters(family, n, singulars),
-                       scan.scale_theta, scan.scale_a)
+        singulars = find_gauss_singular_points(family, n, scan)
+    ts = _slice_parameters(scan.ts, singulars)
+    i, off = _grid_lookup(scan.ts, ts)
+    columns = [column[i] for column in (scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime)]
+    if off.size:
+        for column, values in zip(columns, first_order(family, ts[off])):
+            column[off] = values
+    slices = _classify(ts, *columns, scan.scale_theta, scan.scale_a)
     cloud = tuple(sl.point for sl in slices if sl.kind == POINT)
     polluted = tuple((sl.t, sl.line) for sl in slices if sl.kind == WHOLE_LINE)
     return DiscriminantSet(slices, cloud, polluted)
 
 
 def compare_methods(family: LineFamily, creator: Creator, n: int,
-                    disc: DiscriminantSet | None = None) -> ComparisonReport:
+                    disc: DiscriminantSet | None = None,
+                    curve: EnvelopeCurve | None = None) -> ComparisonReport:
     """Where (if anywhere) the discriminant method misses the envelope.
 
     The widespread method stands exactly when every slice is a single point
     that coincides with the envelope parametrization; it fails at and only
     at the singular parameters of the Gauss map, where a slice degenerates
     into the whole member line (or into nothing for a non-creative family).
-    ``disc`` is ``sample_discriminant(family, n)`` when the caller has it.
+    ``disc`` is ``sample_discriminant(family, n)`` and ``curve`` is
+    ``sample_envelope(family, creator, n)`` when the caller has them; only the
+    point slices between grid points are evaluated here.
     """
-    if disc is None:
-        disc = sample_discriminant(family, n)
+    disc = disc or sample_discriminant(family, n)
+    curve = curve or sample_envelope(family, creator, n)
     failures = [sl.t for sl in disc.slices if sl.kind != POINT]
     points = [sl for sl in disc.slices if sl.kind == POINT]
     mismatches = 0
     if points:
-        expected = envelope_points(family, creator, np.array([sl.t for sl in points]))[0]
+        ts = np.array([sl.t for sl in points])
+        i, off = _grid_lookup(curve.ts, ts)
+        expected = curve.points[i]
+        if off.size:
+            expected[off] = envelope_points(family, creator, ts[off])[0]
         err = np.max(np.abs(np.array([sl.point for sl in points]) - expected), axis=1)
         mismatches = int(np.count_nonzero(err > MATCH_TOL))
     ok = not failures and mismatches == 0

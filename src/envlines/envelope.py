@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import CreatorFunction, parameter_grid
+from .analysis import CreatorFunction, GridScan, first_order, parameter_grid
 from .expr import unparse
 from .family import LineFamily
 
@@ -40,12 +40,14 @@ class EnvelopePoint:
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeCurve:
-    """Envelope samples as arrays: parameters, points and normals (n x 2), b."""
+    """Envelope samples as arrays: parameters, points and normals (n x 2), b,
+    and the offsets a of the lines they lie on."""
 
     ts: np.ndarray
     points: np.ndarray
     nus: np.ndarray
     b_values: np.ndarray
+    offsets: np.ndarray
     family_id: str
     creator_id: str
 
@@ -103,13 +105,24 @@ def envelope_point(family: LineFamily, creator: Creator, t: float) -> EnvelopePo
     return EnvelopePoint(float(t), (x, y), (c.value, s.value), b)
 
 
-def envelope_points(family: LineFamily, creator: Creator,
-                    ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points and normals (n x 2) and creator values at the parameters ts,
-    in one array pass; an error names the first failing parameter."""
+def envelope_points(family: LineFamily, creator: Creator, ts: np.ndarray,
+                    scan: GridScan | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Points and normals (n x 2), offsets and creator values at the
+    parameters ts, read from ``scan`` (the scan at ts) or from one pass of
+    the jets: order 1 for a canonical creator, which reads theta' and a'
+    from it, order 0 otherwise.  An error names the first failing parameter."""
+    canonical = isinstance(creator, CreatorFunction) and creator.user_expr is None
     try:
-        c, s, a = (j.value for j in family.coeff_jets(ts, 0))
-        if isinstance(creator, CreatorFunction):
+        if scan is not None:
+            c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
+        elif canonical:
+            c, s, a, tp, ap = first_order(family, ts)
+        else:
+            c, s, a = (j.value for j in family.coeff_jets(ts, 0))
+        if canonical:
+            b = creator.on_grid(ts, tp, ap)
+        elif isinstance(creator, CreatorFunction):
             b = creator(ts)
         else:
             b = np.fromiter(map(creator, ts.tolist()), float, count=ts.size)
@@ -118,32 +131,33 @@ def envelope_points(family: LineFamily, creator: Creator,
             envelope_point(family, creator, t)  # raises the error of the first failing parameter
         raise
     points = np.column_stack((a * c - b * s, a * s + b * c))
-    return points, np.column_stack((c, s)), b
+    return points, np.column_stack((c, s)), a, b
 
 
-def sample_envelope(family: LineFamily, creator: Creator, n: int) -> EnvelopeCurve:
+def sample_envelope(family: LineFamily, creator: Creator, n: int,
+                    scan: GridScan | None = None) -> EnvelopeCurve:
     """The envelope at n uniform parameters across the family's domain."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    ts = parameter_grid(family.domain, n)
-    points, nus, b = envelope_points(family, creator, ts)
-    return EnvelopeCurve(ts, points, nus, b, _family_token(family), _creator_token(creator))
+    ts = parameter_grid(family.domain, n) if scan is None else scan.ts
+    points, nus, a, b = envelope_points(family, creator, ts, scan)
+    return EnvelopeCurve(ts, points, nus, b, a, _family_token(family), _creator_token(creator))
 
 
 def verify_envelope(curve: EnvelopeCurve, family: LineFamily) -> VerificationReport:
     """Check the defining conditions of an envelope on a sampled curve.
 
-    Membership: max |E(t) . nu(t) - a(t)| over the samples.  Tangency:
-    max |E'(t) . nu(t)| with E' from central differences (second-order
-    one-sided stencils at the endpoints, where the tolerance doubles).
+    Membership: max |E(t) . nu(t) - a(t)| over the samples, with a(t) the
+    offsets the curve was sampled with.  Tangency: max |E'(t) . nu(t)| with
+    E' from central differences (second-order one-sided stencils at the
+    endpoints, where the tolerance doubles).
     """
     n = len(curve.ts)
     if n < 5:
         raise TooFewSamplesError(n)
     ts, pts, nus = curve.ts, curve.points, curve.nus
 
-    offsets = family.coeff_jets(ts, 0)[2].value
-    membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - offsets)))
+    membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - curve.offsets)))
 
     deriv = np.empty_like(pts)
     deriv[1:-1] = (pts[2:] - pts[:-2]) / (ts[2:] - ts[:-2])[:, None]

@@ -133,9 +133,8 @@ def _validated(family: LineFamily) -> LineFamily:
     bad = np.flatnonzero(unit_defect > UNIT_TOL)
     if bad.size:
         t, defect = float(ts[bad[0]]), float(unit_defect[bad[0]])
-        raise ValueError(
-            f"Gauss map left the unit circle at t = {t!r} (|c^2 + s^2 - 1| = {defect!r})"
-        )
+        raise ExpressionDomainError("c^2 + s^2", t, f"the Gauss map left the unit circle "
+                                                     f"(|c^2 + s^2 - 1| = {defect!r})")
     return family
 
 

@@ -269,6 +269,31 @@ class TestFailedVerification:
         assert check["pass"] is True and check["n"] == 4001
 
 
+class TestUndefinedCreator:
+    """A canonical creator that has no value at a banded grid point is an
+    undecided verdict, not a traceback."""
+
+    # theta' vanishes to second order at t = 0 (a' = 0 throughout), and the
+    # grid point t = 0 lies in no resolved zone of the assembled creator
+    PROBES = [["--A", f"{scale}*t^3", "--B", "1", "--C", "0", "--domain", "-1:1"]
+              for scale in ("1e10", "1e150")]
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_analyze_is_inconclusive(self, probe, capsys):
+        assert main(["analyze", *probe]) == EXIT_INCONCLUSIVE
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["creativity"]["verdict"] == "inconclusive"
+        assert "; assembled creator is undefined at t = 0.0; " in doc["creativity"]["notes"]
+        assert doc["creator"] is None and doc["envelope"] is None
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_envelope_exits_four(self, probe, capsys):
+        assert main(["envelope", *probe]) == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err == \
+            "error: family is inconclusive; no envelope to export\n"
+
+
 class TestCsvExport:
     def test_header_and_shape(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -304,6 +329,14 @@ class TestCsvExport:
         for line in out.read_text().splitlines()[1:]:
             _, x, y, *_ = map(float, line.split(","))
             assert x == 0.0 and y == 0.0
+
+    @pytest.mark.parametrize("command", ["envelope", "discriminant"])
+    def test_every_number_at_seventeen_digits(self, command, capsys):
+        assert main([command, *EXAMPLE1, "--grid-n", "101", "--format", "csv"]) == EXIT_OK
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            for field in line.split(","):
+                if field and field not in ("point", "whole_line", "empty"):
+                    assert field == format(float(field), ".17g")
 
     def test_envelope_json_format(self, tmp_path):
         out = tmp_path / "rows.json"
@@ -416,3 +449,79 @@ class TestJsonWriter:
     def test_round_trip_through_stdlib(self):
         payload = {"a": [1.5, 2, True, None], "b": {"s": 'quote " and \\'}, "c": []}
         assert json.loads(to_json(payload)) == payload
+
+    def test_bulk_rows_match_per_value_formatting(self):
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1.0 / 3.0, 2.0 ** 53 + 2.0,
+                    1.7976931348623157e308, 1e-310, 123456789.0, -2.5e-5]
+        payload = {
+            "float_rows": [[x, -x, 1.0 / (1.0 + abs(x))] for x in specials],
+            "mixed_rows": [[1, 2.5, 3], [4.0, 5, 6.0], [10 ** 17, 1e17, -0.0]],
+            "ragged_rows": [[1.0, 2.0], [3.0]],
+            "text": "".join(map(chr, range(0x20))) + '"\\ é \x7f end',
+            "nested": [{"s": "\x00\x1f\n"}, [[0.5]], []],
+        }
+        assert to_json(payload) == _to_json_per_value(payload)
+        assert json.loads(to_json(payload)) == payload
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bulk_rows_reject_non_finite_values_alike(self, bad):
+        rows = [[0.5, 1.5], [2.5, bad], [bad, 3.5]]
+        with pytest.raises(ValueError) as per_value:
+            _to_json_per_value(rows)
+        with pytest.raises(ValueError) as bulk:
+            to_json(rows)
+        assert str(bulk.value) == str(per_value.value) == \
+            f"non-finite value {bad!r} cannot be serialized"
+
+
+def _fmt_float_per_value(x):
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    return format(float(x), ".17g")
+
+
+def _escape_per_value(text):
+    out = ['"']
+    for ch in text:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _to_json_per_value(value, indent=0):
+    """The writer formatting one value at a time: the reference for the bulk path."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f"{inner}{_escape_per_value(str(k))}: {_to_json_per_value(v, indent + 1)}"
+                for k, v in value.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            return "[" + ", ".join(
+                _fmt_float_per_value(v) if isinstance(v, float) else str(v) for v in value
+            ) + "]"
+        rows = [f"{inner}{_to_json_per_value(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return _fmt_float_per_value(value)
+    if isinstance(value, int):
+        return str(value)
+    return _escape_per_value(str(value))

@@ -89,7 +89,8 @@ class TestVerifyEnvelope:
     def test_corrupted_curve_fails_with_predicted_residual(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)
         shifted = EnvelopeCurve(curve.ts, curve.points + (0.0, 0.1), curve.nus,
-                                curve.b_values, curve.family_id, curve.creator_id)
+                                curve.b_values, curve.offsets, curve.family_id,
+                                curve.creator_id)
         report = verify_envelope(shifted, sine_tangent)
         assert not report.passed
         # the offset (0, 0.1) projects onto nu as 0.1 sin(theta) = 0.1/sqrt(cos^2 t + 1)

@@ -1,0 +1,111 @@
+"""Every argv ends in a documented exit code, never in a traceback: argv is
+drawn from the CLI grammar with hostile expressions (poles, logs of
+non-positive values, huge constants, deep nesting, syntax errors)."""
+
+import contextlib
+import io
+import json
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from envlines.cli import COMMANDS, WORKED_EXAMPLES, main
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+
+_ATOMS = [
+    "t", "0", "1", "-1", "pi", "e", "t^2", "t^3", "sin(t)", "cos(t)", "1/t", "1/(t-0.5)",
+    "log(t)", "log(-1)", "log(0)", "sqrt(t)", "sqrt(-t)", "tan(t)", "abs(t)", "atan(1/t)",
+    "t^0.5", "(-1)^0.5", "t^-1", "0^0", "0/0", "exp(exp(t))", "exp(1000)", "1e300",
+    "1e308*1e308", "1e-300*t", "1e10*t^3", "1e150*t^3", "t*cos t - sin t",
+    "(t-0.3)^6", "0.0001*atan((t - 0.00013)/0.0001)",
+    "(" * 150 + "t" + ")" * 150, "sin(" * 120 + "t" + ")" * 120, "t+" * 150 + "t",
+    "", "t+", "foo(t)", "1e999", "((t)", "t t", "2^^t", "-",
+]
+_OPS = [" + ", " - ", "*", "/", "^"]
+
+
+@st.composite
+def _expressions(draw):
+    source = draw(st.sampled_from(_ATOMS))
+    for _ in range(draw(st.integers(0, 2))):
+        source = f"({source}){draw(st.sampled_from(_OPS))}({draw(st.sampled_from(_ATOMS))})"
+    return source
+
+
+_MODES = [("--theta", "--a"), ("--A", "--B", "--C"), ("--g",), ("--hedgehog",)]
+_DOMAINS = ["-1:1", "-10:10", "0:1", "-2:2", "-1000:1000", "0:1e-10", "-1e300:1e300"]
+_BAD_DOMAINS = ["-1e308:1e308", "1:1", "2:1", "a:b", "1", "-inf:inf", "nan:1"]
+_FORMATS = ["json", "csv", "svg", "xml"]
+
+
+@st.composite
+def _argv(draw, output_dir):
+    argv = [draw(st.sampled_from(COMMANDS))]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--example", str(draw(st.integers(0, len(WORKED_EXAMPLES) + 1)))]
+    else:
+        for flag in draw(st.sampled_from(_MODES)):
+            argv += [flag, draw(_expressions())]
+    if draw(st.booleans()):
+        domains = _BAD_DOMAINS if draw(st.integers(0, 9)) == 0 else _DOMAINS
+        argv += ["--domain", draw(st.sampled_from(domains))]
+    argv += ["--grid-n", str(draw(st.integers(16, 129)))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--user-b", draw(_expressions())]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--format", draw(st.sampled_from(_FORMATS))]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--output", output_dir]  # a directory: cannot be written
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from([["--bogus"], ["--grid-n"], ["--theta", "t"], ["x"]]))
+    return argv
+
+
+_OUTPUT_DIR = tempfile.gettempdir()
+
+
+@given(_argv(_OUTPUT_DIR))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_main_ends_in_a_documented_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in DOCUMENTED_EXITS, argv
+
+
+def _stderr_of(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_unbounded_domain_is_a_usage_error():
+    # an infinite bound, or a finite interval whose length overflows
+    for domain in ("-inf:inf", "0:inf", "-1e308:1e308"):
+        code, err = _stderr_of(["analyze", "--theta", "t", "--a", "t", "--domain", domain])
+        assert code == 2
+        assert err.startswith(f"error: unbounded interval '{domain}': need HI - LO finite\n")
+
+
+def test_normal_off_the_unit_circle_is_a_domain_error():
+    # t^2 + 1 overflows at |t| = 1e300, so the Clairaut normal is (0, 0) there
+    code, err = _stderr_of(["analyze", "--g", "0", "--domain", "-1e300:1e300", "--grid-n", "50"])
+    assert code == 5
+    assert err == ("error: domain error in 'c^2 + s^2' at t = -1e+300: "
+                   "the Gauss map left the unit circle (|c^2 + s^2 - 1| = 1.0)\n")
+
+
+def test_creator_undefined_on_the_verification_grid_is_inconclusive(capsys):
+    # theta' = 0 at t = 0 while a' = 1: no grid point of 16 comes near enough
+    # to see the stall, but t = 0 is a point of the 4001-point verification grid
+    argv = ["--theta", "1e10*t^3", "--a", "t", "--grid-n", "16"]
+    assert main(["analyze", *argv]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["creativity"]["verdict"] == "inconclusive"
+    assert doc["creativity"]["notes"].endswith(
+        "; envelope verification failed at n = 4001: creator undefined at t = 0.0")
+    assert doc["creator"] is None and doc["envelope"] is None and doc["comparison"] is None
+    assert main(["envelope", *argv]) == 4
+    assert capsys.readouterr().err == "error: family is inconclusive; no envelope to export\n"
