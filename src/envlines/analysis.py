@@ -546,7 +546,8 @@ def assess_creativity(family: LineFamily, grid_n: int,
             fatal = True
             notes.append(
                 f"theta' vanishes on [{lo!r}, {hi!r}] "
-                f"but a' does not (|a'| = {segment[worst - start]!r} at t = {scan.ts[worst]!r})"
+                f"but a' does not (|a'| = {float(segment[worst - start])!r} "
+                f"at t = {float(scan.ts[worst])!r})"
             )
 
     def in_flat(t: float) -> bool:

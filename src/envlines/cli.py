@@ -279,8 +279,7 @@ def parse_cli(argv: list[str]) -> RunConfig:
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    text = format(float(x), ".17g")
-    return text
+    return format(float(x), ".17g")
 
 
 def _fmt_floats(template: str, values: list[float]) -> str:
@@ -298,6 +297,23 @@ _JSON_ESCAPES = {**{code: f"\\u{code:04x}" for code in range(0x20)},
 
 def _json_escape(text: str) -> str:
     return '"' + text.translate(_JSON_ESCAPES) + '"'
+
+
+_SCALARS = {float, int, bool, str, type(None)}
+
+
+def _table(rows: list[dict], indent: int) -> str:
+    """Flat dicts that share one key order, written column by column: a
+    ``%.17g`` for each float and the per-value text of every other cell,
+    then all the floats in one pass."""
+    pad, field = "  " * indent, "  " * (indent + 1)
+    heads = [f"{field}{_json_escape(key)}: ".replace("%", "%%") for key in rows[0]]
+    columns = [[head + ("%.17g" if type(v) is float else to_json(v).replace("%", "%%"))
+                for v in column]
+               for head, column in zip(heads, zip(*[row.values() for row in rows]))]
+    body = ",\n".join(pad + "{\n" + ",\n".join(cells) + "\n" + pad + "}"
+                      for cells in zip(*columns))
+    return _fmt_floats(body, [v for row in rows for v in row.values() if type(v) is float])
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -322,6 +338,10 @@ def to_json(value, indent: int = 0) -> str:
             if flat and set(map(type, flat)) == {float}:  # rows of floats: format in bulk
                 line = inner + "[" + ", ".join(["%.17g"] * len(value[0])) + "]"
                 return "[\n" + _fmt_floats(",\n".join([line] * len(value)), flat) + "\n" + pad + "]"
+        keys = list(value[0]) if type(value[0]) is dict else None
+        if keys and all(type(row) is dict and list(row) == keys
+                        and set(map(type, row.values())) <= _SCALARS for row in value):
+            return "[\n" + _table(value, indent + 1) + "\n" + pad + "]"
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(value, bool):
@@ -497,10 +517,10 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
     disc = result.discriminant
     doc["discriminant"] = {
         "n": config.grid_n,
-        "point_count": sum(1 for s in disc.slices if s.kind == "point"),
-        "whole_line_count": sum(1 for s in disc.slices if s.kind == "whole_line"),
-        "empty_count": sum(1 for s in disc.slices if s.kind == "empty"),
-        "failure_ts": [s.t for s in disc.slices if s.kind != "point"],
+        "point_count": int(np.count_nonzero(disc.kind == 0)),
+        "whole_line_count": int(np.count_nonzero(disc.kind == 1)),
+        "empty_count": int(np.count_nonzero(disc.kind == 2)),
+        "failure_ts": disc.ts[disc.kind != 0].tolist(),
         "polluted_lines": [
             {"t": t, "nu": [line.nu[0], line.nu[1]], "offset": line.offset}
             for t, line in disc.polluted_lines
@@ -542,15 +562,13 @@ def _envelope_json(config: RunConfig, result: Analysis) -> dict:
 
 
 def _discriminant_csv(result: Analysis) -> str:
-    lines, values = ["t,kind,x,y"], []
-    for sl in result.discriminant.slices:
-        if sl.kind == "point":
-            lines.append("%.17g,point,%.17g,%.17g")
-            values += (sl.t, sl.point[0], sl.point[1])
-        else:
-            lines.append(f"%.17g,{sl.kind},,")
-            values.append(sl.t)
-    return _fmt_floats("\n".join(lines), values) + "\n"
+    disc = result.discriminant
+    point = disc.kind == 0
+    lines = ("%.17g,point,%.17g,%.17g", "%.17g,whole_line,,", "%.17g,empty,,")  # by kind
+    cells = np.column_stack((disc.ts, disc.xs, disc.ys))
+    values = cells[np.column_stack((np.ones_like(point), point, point))]  # t, and x, y of points
+    return "t,kind,x,y\n" + _fmt_floats("\n".join([lines[k] for k in disc.kind.tolist()]),
+                                        values.tolist()) + "\n"
 
 
 def _discriminant_json(config: RunConfig, result: Analysis) -> dict:

@@ -44,11 +44,32 @@ class SliceSolution:
     line: LineCoefficients | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminantSet:
-    slices: tuple[SliceSolution, ...]
-    point_cloud: tuple[tuple[float, float], ...]
+    """The slices as columns: parameters, kind codes, the point of each point
+    slice (NaN elsewhere), and the member line of each whole-line slice."""
+
+    ts: np.ndarray
+    kind: np.ndarray  # int8: 0 point, 1 whole line, 2 empty
+    xs: np.ndarray
+    ys: np.ndarray
     polluted_lines: tuple[tuple[float, LineCoefficients], ...]
+
+    @property
+    def slices(self) -> tuple[SliceSolution, ...]:
+        lines = iter(self.polluted_lines)
+        return tuple(
+            SliceSolution(t, POINT, point=(x, y)) if k == 0
+            else SliceSolution(t, WHOLE_LINE, line=next(lines)[1]) if k == 1
+            else SliceSolution(t, EMPTY)
+            for t, k, x, y in zip(self.ts.tolist(), self.kind.tolist(),
+                                  self.xs.tolist(), self.ys.tolist())
+        )
+
+    @property
+    def point_cloud(self) -> tuple[tuple[float, float], ...]:
+        point = self.kind == 0
+        return tuple(zip(self.xs[point].tolist(), self.ys[point].tolist()))
 
 
 @dataclass(frozen=True)
@@ -59,27 +80,19 @@ class ComparisonReport:
 
 
 def _classify(ts: np.ndarray, c: np.ndarray, s: np.ndarray, a: np.ndarray, tp: np.ndarray,
-              ap: np.ndarray, scale_theta: float, scale_a: float) -> tuple[SliceSolution, ...]:
+              ap: np.ndarray, scale_theta: float, scale_a: float) -> DiscriminantSet:
     """The slice at each parameter of ts, given c, s, a, theta' and a' there."""
     point = np.abs(tp) > EPS_SING * scale_theta
     whole = ~point & (np.abs(ap) <= EPS_CRE * scale_a)
+    kind = np.select([point, whole], [0, 1], 2).astype(np.int8)
     q = ap[point] / tp[point]
     xs = np.full(ts.shape, np.nan)
     ys = np.full(ts.shape, np.nan)
     xs[point] = a[point] * c[point] - q * s[point]
     ys[point] = a[point] * s[point] + q * c[point]
-    lines = {i: LineCoefficients((float(c[i]), float(s[i])), float(a[i]))
-             for i in np.flatnonzero(whole).tolist()}
-    slices = []
-    for i, (t, is_point, x, y) in enumerate(zip(ts.tolist(), point.tolist(),
-                                                xs.tolist(), ys.tolist())):
-        if is_point:
-            slices.append(SliceSolution(t, POINT, point=(x, y)))
-        elif i in lines:
-            slices.append(SliceSolution(t, WHOLE_LINE, line=lines[i]))
-        else:
-            slices.append(SliceSolution(t, EMPTY))
-    return tuple(slices)
+    polluted = tuple((t, LineCoefficients((ci, si), ai)) for t, ci, si, ai in zip(
+        *(column[whole].tolist() for column in (ts, c, s, a))))
+    return DiscriminantSet(ts, kind, xs, ys, polluted)
 
 
 def discriminant_at(family: LineFamily, t: float, grid_n: int = 1001) -> SliceSolution:
@@ -87,28 +100,19 @@ def discriminant_at(family: LineFamily, t: float, grid_n: int = 1001) -> SliceSo
     family.require_in_domain(t)
     scan = scan_grid(family, grid_n)
     ts = np.array([float(t)])
-    return _classify(ts, *first_order(family, ts), scan.scale_theta, scan.scale_a)[0]
+    return _classify(ts, *first_order(family, ts), scan.scale_theta, scan.scale_a).slices[0]
 
 
-def _grid_lookup(grid: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For sorted parameters ts: the index of each in the sorted grid, and the
-    positions of those that are not grid parameters exactly."""
-    i = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
-    return i, np.flatnonzero(grid[i] != ts)
-
-
-def _slice_parameters(grid: np.ndarray, singulars: tuple[SingularPoint, ...]) -> np.ndarray:
-    """Uniform parameters plus the refined singular ones, sorted and deduped."""
-    merged = sorted(set(grid.tolist()) | set(p.t for p in singulars))
-    out = [merged[0]]
-    for t in merged[1:]:
-        if t - out[-1] > 1e-12 * (1.0 + abs(t)):
-            out.append(t)
-        else:
-            # collapse near-duplicates onto the refined singular parameter
-            if any(abs(t - p.t) <= 1e-12 * (1.0 + abs(t)) for p in singulars):
-                out[-1] = t
-    return np.array(out)
+def _off_grid(grid: np.ndarray, singulars: tuple[SingularPoint, ...]) -> np.ndarray:
+    """The refined singular parameters, sorted, that the slices add to the
+    grid: a singular parameter within 1e-12 (1 + |t|) of a grid point is
+    represented by that grid point, and grid points are never merged."""
+    ts = np.array(sorted(p.t for p in singulars), dtype=float)
+    j = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
+    tol = 1e-12 * (1.0 + np.abs(ts))
+    # the grid points on both sides (for j = 0, j - 1 wraps to the last grid point)
+    near = (np.abs(grid[j] - ts) <= tol) | (np.abs(grid[j - 1] - ts) <= tol)
+    return ts[~near]
 
 
 def sample_discriminant(family: LineFamily, n: int,
@@ -126,16 +130,17 @@ def sample_discriminant(family: LineFamily, n: int,
     scan = scan or scan_grid(family, n)
     if singulars is None:
         singulars = find_gauss_singular_points(family, n, scan)
-    ts = _slice_parameters(scan.ts, singulars)
-    i, off = _grid_lookup(scan.ts, ts)
-    columns = [column[i] for column in (scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime)]
-    if off.size:
-        for column, values in zip(columns, first_order(family, ts[off])):
-            column[off] = values
-    slices = _classify(ts, *columns, scan.scale_theta, scan.scale_a)
-    cloud = tuple(sl.point for sl in slices if sl.kind == POINT)
-    polluted = tuple((sl.t, sl.line) for sl in slices if sl.kind == WHOLE_LINE)
-    return DiscriminantSet(slices, cloud, polluted)
+    columns = (scan.ts, scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime)
+    extra = _off_grid(scan.ts, singulars)
+    if extra.size:  # merged positions: the added parameters at ``at``, the grid in between
+        at = np.searchsorted(scan.ts, extra) + np.arange(extra.size)
+        grid = np.ones(scan.ts.size + extra.size, bool)
+        grid[at] = False
+        merged = [np.empty(grid.size) for _ in columns]
+        for out, column, values in zip(merged, columns, (extra, *first_order(family, extra))):
+            out[grid], out[at] = column, values
+        columns = merged
+    return _classify(*columns, scan.scale_theta, scan.scale_a)
 
 
 def compare_methods(family: LineFamily, creator: Creator, n: int,
@@ -153,17 +158,17 @@ def compare_methods(family: LineFamily, creator: Creator, n: int,
     """
     disc = disc or sample_discriminant(family, n)
     curve = curve or sample_envelope(family, creator, n)
-    failures = [sl.t for sl in disc.slices if sl.kind != POINT]
-    points = [sl for sl in disc.slices if sl.kind == POINT]
-    mismatches = 0
-    if points:
-        ts = np.array([sl.t for sl in points])
-        i, off = _grid_lookup(curve.ts, ts)
-        expected = curve.points[i]
-        if off.size:
-            expected[off] = envelope_points(family, creator, ts[off])[0]
-        err = np.max(np.abs(np.array([sl.point for sl in points]) - expected), axis=1)
-        mismatches = int(np.count_nonzero(err > MATCH_TOL))
+    point = disc.kind == 0
+    failures = disc.ts[~point].tolist()
+    ts = disc.ts[point]
+    i = np.minimum(np.searchsorted(curve.ts, ts), curve.ts.size - 1)
+    off = np.flatnonzero(curve.ts[i] != ts)  # the point slices between grid points
+    expected = curve.points[i]
+    if off.size:
+        expected[off] = envelope_points(family, creator, ts[off])[0]
+    err = np.maximum(np.abs(disc.xs[point] - expected[:, 0]),
+                     np.abs(disc.ys[point] - expected[:, 1]))
+    mismatches = int(np.count_nonzero(err > MATCH_TOL))
     ok = not failures and mismatches == 0
     if ok:
         narrative = (

@@ -120,7 +120,8 @@ class LineFamily:
         from one evaluation of the coefficient jets of order ``order``."""
         c, s, a = self.coeff_jets(t, order)
         k = order - 1
-        theta_prime = truncate(c, k) * differentiate(s) - truncate(s, k) * differentiate(c)
+        with np.errstate(all="ignore"):
+            theta_prime = truncate(c, k) * differentiate(s) - truncate(s, k) * differentiate(c)
         return theta_prime, differentiate(a)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 MAX_ORDER = 6
 
 _FACT = tuple(float(math.factorial(k)) for k in range(MAX_ORDER + 1))
+_MAX_PRODUCTS = 64  # integer powers up to this many factors multiply one at a time
 
 
 class JetDomainError(ValueError):
@@ -296,15 +297,21 @@ def absolute(j: Jet) -> Jet:
 
 
 def powi(j: Jet, n: int) -> Jet:
-    """Integer power by repeated multiplication (valid for any base)."""
+    """Integer power by repeated multiplication (valid for any base).  Above
+    _MAX_PRODUCTS, squarings first halve n, so the time grows with log n."""
     if n == 0:
         return Jet.constant(1.0, j.center, j.order)
     if n < 0:
         return Jet.constant(1.0, j.center, j.order) / powi(j, -n)
+    odd = None  # the product of the odd factors split off by the squarings
+    while n > _MAX_PRODUCTS:
+        if n % 2:
+            odd = j if odd is None else odd * j
+        j, n = j * j, n // 2
     result = j
     for _ in range(n - 1):
         result = result * j
-    return result
+    return result if odd is None else odd * result
 
 
 def powr(j: Jet, r: float) -> Jet:

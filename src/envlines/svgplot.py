@@ -43,7 +43,9 @@ class _Frame:
         pad_y = MARGIN_FRACTION * (y_hi - y_lo)
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
         self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
-        self.scale = min(WIDTH / (self.x_hi - self.x_lo), HEIGHT / (self.y_hi - self.y_lo))
+        span_x, span_y = self.x_hi - self.x_lo, self.y_hi - self.y_lo
+        # past 1e16 in magnitude the widening and the padding can vanish in rounding
+        self.scale = min(WIDTH / span_x, HEIGHT / span_y) if span_x and span_y else 1.0
         self.cx = 0.5 * (self.x_lo + self.x_hi)
         self.cy = 0.5 * (self.y_lo + self.y_hi)
 
@@ -94,12 +96,9 @@ def render_scene(family: LineFamily,
                  singular_ts: tuple[float, ...]) -> str:
     """Compose the figure: thin family lines, the envelope (when present),
     discriminant points, dashed whole-line slices, singular markers."""
-    env_pts = envelope.points.tolist() if envelope is not None else []
-    cloud = list(disc.point_cloud)
-    anchor = env_pts if env_pts else cloud
-    xs = np.array([p[0] for p in anchor], dtype=float)
-    ys = np.array([p[1] for p in anchor], dtype=float)
-    frame = _Frame(xs, ys, robust=not env_pts)
+    point = disc.kind == 0
+    cloud = disc.xs[point], disc.ys[point]
+    frame = _Frame(*(cloud if envelope is None else envelope.points.T), robust=envelope is None)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -127,16 +126,15 @@ def render_scene(family: LineFamily,
     parts.append("</g>")
 
     parts.append('<g class="discriminant" fill="#3a3a3a">')
-    for x, y in cloud:
+    for x, y in zip(*(column.tolist() for column in cloud)):
         px, py = frame.px(x, y)
         if -10 <= px <= WIDTH + 10 and -10 <= py <= HEIGHT + 10:
             parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.4"/>')
     parts.append("</g>")
 
-    if env_pts:
-        coords = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (frame.px(x, y) for x, y in env_pts)
-        )
+    if envelope is not None:
+        coords = " ".join(f"{_fmt(px)},{_fmt(py)}"
+                          for px, py in (frame.px(x, y) for x, y in envelope.points.tolist()))
         parts.append(f'<polyline class="envelope" points="{coords}" '
                      f'fill="none" stroke="#1a7f37" stroke-width="2.2"/>')
 

@@ -153,6 +153,13 @@ class TestAnalyzeDocument:
             assert doc["creativity"]["verdict"] == entry["expected_verdict"], entry["name"]
             assert doc["uniqueness"]["verdict"] == entry["expected_uniqueness"], entry["name"]
 
+    @pytest.mark.parametrize("grid_n", [101, 1001])
+    def test_notes_do_not_depend_on_the_numpy_version(self, grid_n):
+        # numpy 2 writes a numpy scalar as np.float64(1.0)
+        for n in WORKED_EXAMPLES:
+            doc = run_analyze(parse_cli(["analyze", "--example", str(n), "--grid-n", str(grid_n)]))
+            assert "np." not in doc["creativity"]["notes"], n
+
 
 class TestExitCodes:
     def test_creative_exit_zero(self, tmp_path):
@@ -470,6 +477,30 @@ class TestJsonWriter:
             _to_json_per_value(rows)
         with pytest.raises(ValueError) as bulk:
             to_json(rows)
+        assert str(bulk.value) == str(per_value.value) == \
+            f"non-finite value {bad!r} cannot be serialized"
+
+    TABLE_CELLS = [None, True, False, 0, -7, 10 ** 17, "flat-to-order-4", -0.0, 5e-324, 1e16,
+                   "".join(map(chr, range(0x20))) + '"\\ %s %% é']
+
+    def test_bulk_tables_match_per_value_formatting(self):
+        # flat dicts with one key order: written column by column
+        cells = self.TABLE_CELLS
+        table = [{"t": 0.5 * k, "x %s": a, "y": b}
+                 for k, (a, b) in enumerate(zip(cells, reversed(cells)))]
+        payload = {"table": table, "nested": {"table": table[:2]},
+                   "not_a_table": [{"t": 1.0}, {"u": 1.0}, {"t": [1.0]}, {}]}
+        assert to_json(table) == _to_json_per_value(table)
+        assert to_json(payload) == _to_json_per_value(payload)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bulk_tables_reject_non_finite_values_alike(self, bad):
+        # the first non-finite value in document order, not in column order
+        table = [{"a": 0.5, "b": None}, {"a": 1.5, "b": bad}, {"a": -bad, "b": 2.5}]
+        with pytest.raises(ValueError) as per_value:
+            _to_json_per_value(table)
+        with pytest.raises(ValueError) as bulk:
+            to_json(table)
         assert str(bulk.value) == str(per_value.value) == \
             f"non-finite value {bad!r} cannot be serialized"
 

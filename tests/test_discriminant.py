@@ -1,16 +1,29 @@
+import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import discriminant_reference
 from envlines import (
+    SingularPoint,
     assess_creativity,
     build_creator,
+    build_family_general,
+    build_family_normalized,
     compare_methods,
     discriminant_at,
     find_gauss_singular_points,
     parse_expression,
     sample_discriminant,
 )
+from envlines.analysis import scan_grid
+from envlines.cli import main
+from envlines.family import DegenerateFamilyError
+from exprgen import gentle_expression
 
 P = parse_expression
 
@@ -138,3 +151,89 @@ class TestInvariants:
         assert len(failures) == len(singulars)
         for a, b in zip(failures, singulars):
             assert abs(a - b) <= 1e-10
+
+
+def _near_grid(grid, t, tol=1e-12):
+    return bool(np.min(np.abs(grid - t)) <= tol * (1.0 + abs(t)))
+
+
+class TestMergeRule:
+    """A singular parameter within 1e-12 (1 + |t|) of a grid point is that
+    grid point; every other one is inserted; grid points are never merged."""
+
+    @pytest.mark.parametrize("offset", [4e-13, -4e-13, 0.0])
+    def test_singular_next_to_a_grid_point_is_the_grid_point(self, quadratic_angle, offset):
+        singular = SingularPoint(offset, 2, 0.0, True, 0.0)
+        disc = sample_discriminant(quadratic_angle, 1001, (singular,))
+        assert disc.ts.tolist() == np.linspace(-1.0, 1.0, 1001).tolist()
+        assert disc.slices[500] == discriminant_at(quadratic_angle, 0.0)
+
+    def test_singular_between_grid_points_is_inserted(self, quadratic_angle):
+        singular = SingularPoint(0.0005, 2, 0.0, True, 0.0)
+        disc = sample_discriminant(quadratic_angle, 1001, (singular,))
+        assert disc.ts.size == 1002 and disc.ts[501] == 0.0005
+        assert np.all(np.diff(disc.ts) > 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--example", "1", "--grid-n", "257"],   # the singular at 0 sits 1.5e-14 above 0
+        ["--example", "5"],
+        ["--example", "6", "--grid-n", "16"],
+        ["--A", "1e10*t^3", "--B", "1", "--C", "0", "--domain", "-1:1"],
+        # grid points 2e-13 apart: none of them is merged with another
+        ["--theta", "t^2", "--a", "0", "--domain", "-1e-10:1e-10", "--grid-n", "1001"],
+    ])
+    def test_slice_count_is_grid_plus_inserted_singulars(self, capsys, argv):
+        main(["analyze", *argv])
+        doc = json.loads(capsys.readouterr().out)
+        grid = np.linspace(*doc["config"]["domain"], doc["config"]["grid_n"])
+        inserted = sum(not _near_grid(grid, p["t"]) for p in doc["gauss_singular_points"])
+        counts = doc["discriminant"]
+        assert (counts["point_count"] + counts["whole_line_count"] + counts["empty_count"]
+                == counts["n"] + inserted)
+
+
+_FAMILY_BUILDERS = {
+    "normalized": lambda rng, domain: build_family_normalized(
+        P(gentle_expression(rng)), P(gentle_expression(rng)), domain),
+    "general": lambda rng, domain: build_family_general(
+        P(gentle_expression(rng)), P(gentle_expression(rng)), P(gentle_expression(rng)), domain),
+}
+
+
+def _assert_matches_reference(family, n, singulars):
+    scan = scan_grid(family, n)
+    expected = discriminant_reference.sample_discriminant(family, scan, singulars)
+    disc = sample_discriminant(family, n, singulars, scan)
+    assert repr(disc.slices) == repr(expected)  # repr: the same bits, -0.0 and NaN included
+    assert disc.point_cloud == tuple(sl.point for sl in expected if sl.kind == "point")
+    assert disc.polluted_lines == tuple((sl.t, sl.line) for sl in expected
+                                        if sl.kind == "whole_line")
+
+
+def _off_grid_singulars(family, n):
+    """The singular points, or None when one lies next to a grid point: the
+    merge rule differs from the reference only there."""
+    grid = scan_grid(family, n).ts
+    singulars = find_gauss_singular_points(family, n)
+    return None if any(_near_grid(grid, p.t, 2e-12) for p in singulars) else singulars
+
+
+@pytest.mark.parametrize("name", ["sine_tangent", "sine_evolute", "still_family",
+                                  "parallel_shift", "quadratic_angle"])
+def test_columns_equal_the_reference_slices_on_the_fixtures(request, name):
+    # every kind of slice: points, whole lines (sine tangent, still family) and empty ones
+    family = request.getfixturevalue(name)
+    _assert_matches_reference(family, 100, _off_grid_singulars(family, 100))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(sorted(_FAMILY_BUILDERS)),
+       lo=st.floats(-6.0, 2.0), width=st.floats(0.5, 8.0), n=st.integers(16, 300))
+@settings(max_examples=40, deadline=None)
+def test_columns_equal_the_reference_slices(seed, mode, lo, width, n):
+    try:
+        family = _FAMILY_BUILDERS[mode](random.Random(seed), (lo, lo + width))
+        singulars = _off_grid_singulars(family, n)
+    except DegenerateFamilyError:  # a general family whose normal vanishes
+        return
+    assume(singulars is not None)
+    _assert_matches_reference(family, n, singulars)

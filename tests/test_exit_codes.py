@@ -5,12 +5,15 @@ non-positive values, huge constants, deep nesting, syntax errors)."""
 import contextlib
 import io
 import json
+import re
 import tempfile
+import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from envlines.cli import COMMANDS, WORKED_EXAMPLES, main
+from envlines.cli import _USAGE, COMMANDS, WORKED_EXAMPLES, main
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
@@ -66,19 +69,45 @@ def _argv(draw, output_dir):
 _OUTPUT_DIR = tempfile.gettempdir()
 
 
-@given(_argv(_OUTPUT_DIR))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_main_ends_in_a_documented_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in DOCUMENTED_EXITS, argv
+# stderr is empty, or one error line, followed by the usage text after a usage error
+_STDERR = re.compile(r"(error: [^\n]*\n(\n" + re.escape(_USAGE) + ")?)?")
 
 
 def _stderr_of(argv):
+    """Exit code and stderr of main(argv); any warning fails the test, since a
+    run outside the tests would print it to stderr."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
     return code, err.getvalue()
+
+
+@given(_argv(_OUTPUT_DIR))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_main_ends_in_a_documented_exit_code(argv):
+    code, err = _stderr_of(argv)
+    assert code in DOCUMENTED_EXITS, argv
+    assert _STDERR.fullmatch(err), (argv, err)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # theta' overflows in derivative_jets
+    (["compare", "--theta", "1e150*t^3", "--a", "1e150*t^3", "--grid-n", "19"], 3,
+     "error: family is not_creative; comparison needs a creator\n"),
+    # |E'|^2 overflows in verify_envelope
+    (["analyze", "--g", "1e300", "--domain", "0:1", "--grid-n", "74"], 4, ""),
+])
+def test_overflow_raises_no_warning(argv, code, err):
+    assert _stderr_of(argv) == (code, err)
+
+
+def test_plot_window_of_a_constant_huge_coordinate():
+    # x = 1e300 throughout: the window's padding rounds away
+    argv = ["plot", "--theta", "0", "--a", "1e300", "--grid-n", "16", "--user-b", "t"]
+    assert _stderr_of(argv) == (0, "")
 
 
 def test_unbounded_domain_is_a_usage_error():

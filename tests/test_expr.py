@@ -121,6 +121,14 @@ class TestEvaluateJet:
     def test_integer_power_valid_for_negative_base(self):
         assert evaluate_jet(P("t^3"), -2.0, 1).coeffs == (-8.0, 12.0)
 
+    def test_large_integer_powers_square(self):
+        # beyond 64 factors the power squares, so t^(1e300) takes about 1,000 products
+        assert evaluate_jet(P("t^65"), -0.5, 1).coeffs == (-0.5 ** 65, 65 * 0.5 ** 64)
+        assert evaluate_jet(P("t^1000"), 1.0, 2).coeffs == (1.0, 1000.0, 999000.0)
+        assert evaluate_jet(P("t^(1e300)"), 0.5, 1).coeffs == (0.0, 0.0)
+        with pytest.raises(ExpressionDomainError):
+            evaluate_jet(P("t^(1e300)"), 2.0, 0)
+
     def test_real_power_needs_positive_base(self):
         with pytest.raises(ExpressionDomainError):
             evaluate_jet(P("t^0.5"), -1.0, 0)

@@ -3,12 +3,18 @@ each evaluated once, and everything else reads from those passes."""
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import envlines
 from envlines import analysis, family as family_module
 from envlines.cli import main
+from envlines.discriminant import SliceSolution
 
 SINE_TANGENT_FINE = ["analyze", "--example", "1", "--grid-n", "10001"]
 SINE_EVOLUTE_WIDE = ["analyze", "--A", "1", "--B", "cos t", "--C", "-t - cos t*sin t",
@@ -59,3 +65,39 @@ def test_derivative_scales_once_per_run(monkeypatch, argv):
     monkeypatch.setattr(analysis, "_derivative_scales", spy)
     _run(argv)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [SINE_TANGENT_FINE, SINE_EVOLUTE_WIDE])
+def test_analyze_builds_no_slice_objects(monkeypatch, argv):
+    # the discriminant is a set of columns; SliceSolution is a view for library users
+    made = []
+    original = SliceSolution.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SliceSolution, "__init__", spy)
+    SliceSolution(0.0, "empty")
+    assert len(made) == 1
+    made.clear()
+    _run(argv)
+    assert made == []
+
+
+def test_commands_do_not_import_numpy_ma():
+    # numpy's set routines and np.quantile import numpy.ma: 1.3 MB more resident memory
+    script = """
+import contextlib, io, sys
+from envlines.cli import main
+family = ["--A", "-cos t", "--B", "1", "--C", "t*cos t - sin t"]
+for argv in (["analyze", "--example", "1"], ["discriminant", *family, "--format", "csv"],
+             ["plot", *family]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(envlines.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
