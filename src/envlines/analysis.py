@@ -160,100 +160,88 @@ def _is_flat_run(scan: GridScan, run: tuple[int, int]) -> bool:
 
 
 # -- root refinement ---------------------------------------------------------
-#
-# Every bracket advances in lock-step: one array pass of the jets per step
-# evaluates theta' at the current points of all brackets still open, and a
-# bracket retires once it is narrow enough.  The array jets round like the
-# float jets element by element, so each bracket ends on the same bits as a
-# loop over the brackets would.
 
-def _in_lockstep(refine, family: LineFamily, *columns: np.ndarray):
-    """``refine(family, *columns)`` on all rows at once.  If that hits a domain
-    error, the rows are replayed one at a time in row order through the same
-    function, so the error names the parameter a row-by-row loop would."""
+def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+            dip_lo: np.ndarray, dip_hi: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect every bracket [lo, hi] of a sign change of theta' (f_lo is
+    theta' at lo) to ROOT_WIDTH and ternary-search every [dip_lo, dip_hi] for
+    the minimum of |theta'| to ROOT_WIDTH/10; the roots, the minimizers and
+    |theta'| there.
+
+    All rows advance in lock-step, one array pass of the jets per step over
+    the rows still open.  The array jets round like the float jets element
+    by element, so each row ends on the same bits as a loop over the rows
+    would.  On a domain error the bisections are replayed one at a time in
+    order, then the searches, so the error names the parameter such a loop
+    meets first."""
+
+    def run(lo, hi, f_lo, dip_lo, dip_hi):
+        lo, hi, f_lo = np.concatenate((lo, dip_lo)), np.concatenate((hi, dip_hi)), f_lo.copy()
+        k = f_lo.size
+        bis = np.flatnonzero(hi[:k] - lo[:k] > ROOT_WIDTH)
+        ter = k + np.flatnonzero(hi[k:] - lo[k:] > ROOT_WIDTH * 0.1)
+        while bis.size or ter.size:
+            mid = 0.5 * (lo[bis] + hi[bis])
+            third = (hi[ter] - lo[ter]) / 3.0
+            m1, m2 = lo[ter] + third, hi[ter] - third
+            f = _first_derivatives(family, np.concatenate((mid, m1, m2)))[0]
+            f_mid, w = f[:bis.size], np.abs(f[bis.size:])
+            left = (f_lo[bis] < 0.0) != (f_mid < 0.0)
+            hi[bis[left]] = mid[left]
+            lo[bis[~left]], f_lo[bis[~left]] = mid[~left], f_mid[~left]
+            exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
+            lo[bis[exact]] = hi[bis[exact]] = mid[exact]
+            left = w[:ter.size] <= w[ter.size:]
+            hi[ter[left]] = m2[left]
+            lo[ter[~left]] = m1[~left]
+            bis = bis[hi[bis] - lo[bis] > ROOT_WIDTH]
+            ter = ter[hi[ter] - lo[ter] > ROOT_WIDTH * 0.1]
+        t = 0.5 * (lo + hi)
+        t_min = t[k:]
+        value = np.abs(_first_derivatives(family, t_min)[0]) if t_min.size else t_min
+        return t[:k], t_min, value
+
     try:
-        return refine(family, *columns)
+        return run(lo, hi, f_lo, dip_lo, dip_hi)
     except (ExpressionDomainError, DegenerateFamilyError):
-        for i in range(len(columns[0])):
-            refine(family, *(column[i:i + 1] for column in columns))
+        none = np.empty(0)
+        for i in range(lo.size):
+            run(lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], none, none)
+        for i in range(dip_lo.size):
+            run(none, none, none, dip_lo[i:i + 1], dip_hi[i:i + 1])
         raise
 
 
-def _bisect_roots(family: LineFamily, lo: np.ndarray, hi: np.ndarray,
-                  f_lo: np.ndarray) -> np.ndarray:
-    """Bisect every bracket [lo, hi] of a sign change of theta' to ROOT_WIDTH."""
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    open_ = np.flatnonzero(hi - lo > ROOT_WIDTH)
-    while open_.size:
-        mid = 0.5 * (lo[open_] + hi[open_])
-        f_mid = _first_derivatives(family, mid)[0]
-        left = (f_lo[open_] < 0.0) != (f_mid < 0.0)
-        hi[open_[left]] = mid[left]
-        lo[open_[~left]], f_lo[open_[~left]] = mid[~left], f_mid[~left]
-        exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
-        lo[open_[exact]] = hi[open_[exact]] = mid[exact]
-        open_ = open_[hi[open_] - lo[open_] > ROOT_WIDTH]
-    return 0.5 * (lo + hi)
-
-
-def _minimize_abs(family: LineFamily, lo: np.ndarray,
-                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ternary search for the minimum of |theta'| on every [lo, hi]; the
-    minimizers and |theta'| there."""
-    lo, hi = lo.copy(), hi.copy()
-    open_ = np.flatnonzero(hi - lo > ROOT_WIDTH * 0.1)
-    while open_.size:
-        third = (hi[open_] - lo[open_]) / 3.0
-        m1, m2 = lo[open_] + third, hi[open_] - third
-        w = np.abs(_first_derivatives(family, np.concatenate((m1, m2)))[0])
-        left = w[:open_.size] <= w[open_.size:]
-        hi[open_[left]] = m2[left]
-        lo[open_[~left]] = m1[~left]
-        open_ = open_[hi[open_] - lo[open_] > ROOT_WIDTH * 0.1]
-    t = 0.5 * (lo + hi)
-    return t, np.abs(_first_derivatives(family, t)[0])
-
-
-# -- derivative scales and point classification -------------------------------
+# -- point classification -----------------------------------------------------
 
 _SCALE_GRID_N = 129
 
 
-def _derivative_scales(family: LineFamily) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Grid maxima of |theta^(j)| and |a^(j)| for j = 1..4 (coarse grid).
+def _classify_points(family: LineFamily, ts: np.ndarray) -> tuple[SingularPoint, ...]:
+    """L'Hopital classification of every singular parameter in ts at once.
 
-    Bands the zero tests in the L'Hopital classification the same way the
-    first-order scales band the singularity test.
+    The zero tests are banded by the maxima of |theta^(j)| and |a^(j)|, j =
+    1..4, on a coarse grid, the way the first-order scales band the
+    singularity test; one order-4 pass evaluates the coarse grid and ts.
     """
-    ts = parameter_grid(family.domain, _SCALE_GRID_N)
-    tpj, apj = family.derivative_jets(ts, LHOPITAL_DEPTH)
-    th = [float(np.max(np.abs(c))) for c in tpj.coeffs]
-    aa = [float(np.max(np.abs(c))) for c in apj.coeffs]
-    return (tuple(v if v > 0.0 else 1.0 for v in th),
-            tuple(v if v > 0.0 else 1.0 for v in aa))
-
-
-def _classify_points(family: LineFamily, ts: np.ndarray, th_scales: tuple[float, ...],
-                     a_scales: tuple[float, ...]) -> tuple[SingularPoint, ...]:
-    """L'Hopital classification of every singular parameter in ts at once."""
-    tpj, apj = family.derivative_jets(ts, LHOPITAL_DEPTH)
+    grid = parameter_grid(family.domain, _SCALE_GRID_N)
+    tpj, apj = family.derivative_jets(np.concatenate((grid, ts)), LHOPITAL_DEPTH)
     theta_derivs = np.array(tpj.coeffs)  # rows j = 1..4: theta^(j), a^(j)
     a_derivs = np.array(apj.coeffs)
-    nonzero = np.abs(theta_derivs) > EPS_SING * np.array(th_scales)[:, None]
-    a_vanish = np.abs(a_derivs) <= EPS_CRE * np.array(a_scales)[:, None]
+    scales = [np.max(np.abs(derivs[:, :_SCALE_GRID_N]), axis=1, keepdims=True)
+              for derivs in (theta_derivs, a_derivs)]
+    th_scales, a_scales = (np.where(v > 0.0, v, 1.0) for v in scales)
+    theta_derivs, a_derivs = theta_derivs[:, _SCALE_GRID_N:], a_derivs[:, _SCALE_GRID_N:]
+    nonzero = np.abs(theta_derivs) > EPS_SING * th_scales
+    a_vanish = np.abs(a_derivs) <= EPS_CRE * a_scales
     points = []
     for i, t0 in enumerate(ts.tolist()):
-        a_prime_at = float(a_derivs[0, i])
-        a_flat = bool(a_vanish[:, i].all())
-        if not nonzero[:, i].any():
-            points.append(SingularPoint(t0, None, a_prime_at, False, None, a_flat))
-            continue
-        order = int(np.argmax(nonzero[:, i])) + 1
-        if not a_vanish[:order - 1, i].all():
-            points.append(SingularPoint(t0, order, a_prime_at, False, None, a_flat))
-            continue
-        b_limit = float(a_derivs[order - 1, i] / theta_derivs[order - 1, i])
-        points.append(SingularPoint(t0, order, a_prime_at, True, b_limit, a_flat))
+        order = int(np.argmax(nonzero[:, i])) + 1 if nonzero[:, i].any() else None
+        resolvable = order is not None and bool(a_vanish[:order - 1, i].all())
+        b_limit = float(a_derivs[order - 1, i] / theta_derivs[order - 1, i]) if resolvable else None
+        points.append(SingularPoint(t0, order, float(a_derivs[0, i]), resolvable, b_limit,
+                                    bool(a_vanish[:, i].all())))
     return tuple(points)
 
 
@@ -281,15 +269,14 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
     mask = w <= band
 
     sign_change = tp[:-1] * tp[1:] < 0.0
-    i = np.flatnonzero(sign_change)
-    candidates = _in_lockstep(_bisect_roots, family, ts[i], ts[i + 1], tp[i]).tolist()
+    brackets = np.flatnonzero(sign_change)  # cells [i, i + 1] to bisect
 
     # one ternary search per non-flat run of banded points, then one per
     # tangential dip, kept when its minimum falls inside the band
-    run_lo, run_hi = [], []
+    flat_mids, run_lo, run_hi = [], [], []
     for start, end in _singular_runs(scan):
         if _is_flat_run(scan, (start, end)):
-            candidates.append(float(0.5 * (ts[start] + ts[end])))
+            flat_mids.append(float(0.5 * (ts[start] + ts[end])))
             continue
         best = start + int(np.argmin(np.abs(tp[start:end + 1])))
         run_lo.append(ts[max(best - 1, 0)])
@@ -300,13 +287,15 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
     i = np.flatnonzero(dips) + 1
     runs = len(run_lo)
-    t_min, value = _in_lockstep(_minimize_abs, family, np.concatenate((run_lo, ts[i - 1])),
-                                np.concatenate((run_hi, ts[i + 1])))
-    candidates += t_min[:runs].tolist() + t_min[runs:][value[runs:] <= band].tolist()
+    found, t_min, value = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
+                                  np.concatenate((run_lo, ts[i - 1])),
+                                  np.concatenate((run_hi, ts[i + 1])))
+    candidates = sorted(found.tolist() + flat_mids + t_min[:runs].tolist()
+                        + t_min[runs:][value[runs:] <= band].tolist())
 
     merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (grid_n - 1)
-    candidates.sort()
-    size = np.abs(_first_derivatives(family, np.array(candidates))[0]).tolist()
+    size = (np.abs(_first_derivatives(family, np.array(candidates))[0]).tolist()
+            if candidates else [])
     accepted: list[int] = []  # indices into candidates
     for k, t0 in enumerate(candidates):
         if accepted and t0 - candidates[accepted[-1]] <= merge_radius:
@@ -315,8 +304,7 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
             continue
         accepted.append(k)
 
-    th_scales, a_scales = _derivative_scales(family)
-    return _classify_points(family, np.array(candidates)[accepted], th_scales, a_scales)
+    return _classify_points(family, np.array(candidates)[accepted])
 
 
 # -- uniqueness ----------------------------------------------------------------
@@ -408,17 +396,21 @@ class CreatorFunction:
         """b at the parameters ts, where theta' and a' are tp and ap."""
         if self.user_expr is not None:
             return evaluate(self.user_expr, ts)
-        # the plain quotient wherever the float path would take it; the few
-        # parameters on flat intervals, in blend zones or in the band go
-        # through the float path itself, in order
-        plain = np.abs(tp) > EPS_SING * self.scale_theta
-        for lo, hi, _ in self.flat_intervals:
-            plain &= ~((lo - 1e-12 <= ts) & (ts <= hi + 1e-12))
+        # the fills on flat intervals (the first interval wins) and the plain
+        # quotient wherever the float path would take them; the few
+        # parameters in blend zones or in the band go through the float path
+        # itself, in order
+        b = np.empty(ts.shape)
+        flat = np.zeros(ts.shape, dtype=bool)
+        for lo, hi, fill in reversed(self.flat_intervals):
+            inside = (lo - 1e-12 <= ts) & (ts <= hi + 1e-12)
+            b[inside] = fill
+            flat |= inside
+        plain = ~flat & (np.abs(tp) > EPS_SING * self.scale_theta)
         for t0, _, radius in self.resolved:
             plain &= ~(np.abs(ts - t0) <= radius)
-        b = np.empty(ts.shape)
         b[plain] = ap[plain] / tp[plain]
-        for i in np.flatnonzero(~plain).tolist():
+        for i in np.flatnonzero(~(plain | flat)).tolist():
             b[i] = self(float(ts[i]))
         return b
 

@@ -584,13 +584,8 @@ def _discriminant_json(config: RunConfig, result: Analysis) -> dict:
 
 
 def run_plot(config: RunConfig, result: Analysis) -> str:
-    return svgplot.render_scene(
-        result.family,
-        result.creativity.verdict,
-        result.envelope,
-        result.discriminant,
-        tuple(p.t for p in result.singulars),
-    )
+    return svgplot.render_scene(result.family, result.creativity.verdict, result.envelope,
+                                result.discriminant, tuple(p.t for p in result.singulars))
 
 
 # -- entry point ---------------------------------------------------------------------

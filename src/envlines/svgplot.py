@@ -10,7 +10,7 @@ import numpy as np
 from .analysis import parameter_grid
 from .discriminant import DiscriminantSet
 from .envelope import EnvelopeCurve
-from .family import LineCoefficients, LineFamily, line_at
+from .family import LineCoefficients, LineFamily
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_FRACTION = 0.05
@@ -22,6 +22,22 @@ def _fmt(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` on the same bits, by numpy's default "linear"
+    rule on ``np.partition`` (``np.quantile`` imports ``numpy.ma``). The kth
+    set and the neighbours at the top end are numpy's own: equal values such
+    as 0.0 and -0.0 land where the same partition puts them."""
+    if np.isnan(values).any():
+        return float("nan")
+    v = (values.size - 1) * q
+    lo = hi = -1 if v >= values.size - 1 else int(v)
+    if lo >= 0:
+        hi = lo + 1
+    g = v - lo
+    a, b = np.partition(values, sorted({0, -1, lo, hi}))[[lo, hi]].tolist()
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 class _Frame:
     """Affine map from data coordinates to pixels (aspect preserved, y up)."""
 
@@ -30,8 +46,8 @@ class _Frame:
             x_lo, x_hi, y_lo, y_hi = -1.0, 1.0, -1.0, 1.0
         elif robust and xs.size > 20:
             # discriminant clouds blow up near singular parameters; trim tails
-            x_lo, x_hi = np.quantile(xs, 0.02), np.quantile(xs, 0.98)
-            y_lo, y_hi = np.quantile(ys, 0.02), np.quantile(ys, 0.98)
+            x_lo, x_hi = _quantile(xs, 0.02), _quantile(xs, 0.98)
+            y_lo, y_hi = _quantile(ys, 0.02), _quantile(ys, 0.98)
         else:
             x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
             y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
@@ -106,24 +122,23 @@ def render_scene(family: LineFamily,
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
-    parts.append('<g class="family" stroke="#b9cfe8" stroke-width="0.7" fill="none">')
-    for t in parameter_grid(family.domain, MAX_FAMILY_LINES):
-        seg = frame.clip_line(line_at(family, float(t)))
-        if seg is None:
-            continue
-        (x1, y1), (x2, y2) = (frame.px(*seg[0]), frame.px(*seg[1]))
-        parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
-    parts.append("</g>")
+    # the family lines, then the singular markers, from one pass of the jets
+    n = MAX_FAMILY_LINES
+    ts = np.concatenate((parameter_grid(family.domain, n), singular_ts))
+    c, s, a = (jet.value.tolist() for jet in family.coeff_jets(ts, 0))
 
-    parts.append('<g class="polluted" stroke="#d62728" stroke-width="1.3" '
-                 'stroke-dasharray="7,5" fill="none">')
-    for _, line in disc.polluted_lines:
-        seg = frame.clip_line(line)
-        if seg is None:
-            continue
-        (x1, y1), (x2, y2) = (frame.px(*seg[0]), frame.px(*seg[1]))
-        parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
-    parts.append("</g>")
+    groups = {
+        'class="family" stroke="#b9cfe8" stroke-width="0.7"':
+            [LineCoefficients((ci, si), ai) for ci, si, ai in zip(c[:n], s[:n], a[:n])],
+        'class="polluted" stroke="#d62728" stroke-width="1.3" stroke-dasharray="7,5"':
+            [line for _, line in disc.polluted_lines],
+    }
+    for group, lines in groups.items():
+        parts.append(f'<g {group} fill="none">')
+        for seg in filter(None, map(frame.clip_line, lines)):
+            (x1, y1), (x2, y2) = (frame.px(*seg[0]), frame.px(*seg[1]))
+            parts.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
+        parts.append("</g>")
 
     parts.append('<g class="discriminant" fill="#3a3a3a">')
     for x, y in zip(*(column.tolist() for column in cloud)):
@@ -139,10 +154,8 @@ def render_scene(family: LineFamily,
                      f'fill="none" stroke="#1a7f37" stroke-width="2.2"/>')
 
     parts.append('<g class="singular" stroke="#ff7f0e" stroke-width="1.6" fill="none">')
-    for t0 in singular_ts:
-        c, s, a = family.coeff_jets(float(t0), 0)
-        foot = (a.value * c.value, a.value * s.value)
-        px, py = frame.px(*foot)
+    for ci, si, ai in zip(c[n:], s[n:], a[n:]):
+        px, py = frame.px(ai * ci, ai * si)
         r = 5.0
         parts.append(
             f'<path d="M {_fmt(px - r)} {_fmt(py)} L {_fmt(px)} {_fmt(py - r)} '

@@ -13,7 +13,8 @@ import pytest
 
 import envlines
 from envlines import analysis, family as family_module
-from envlines.cli import main
+from envlines.analysis import CreatorFunction
+from envlines.cli import _build_family, main, parse_cli
 from envlines.discriminant import SliceSolution
 
 SINE_TANGENT_FINE = ["analyze", "--example", "1", "--grid-n", "10001"]
@@ -53,18 +54,49 @@ def test_non_creative_run_evaluates_its_grid_once(large_passes):
     assert large_passes == [10001]
 
 
-@pytest.mark.parametrize("argv", [["analyze", "--example", str(k)] for k in range(1, 8)])
-def test_derivative_scales_once_per_run(monkeypatch, argv):
+@pytest.fixture
+def passes(monkeypatch):
+    """(size, order) of every coefficient-jet evaluation, in call order."""
     calls = []
-    original = analysis._derivative_scales
+    original = family_module.LineFamily.coeff_jets
 
-    def spy(family):
-        calls.append(family)
-        return original(family)
+    def spy(self, t, order):
+        calls.append((np.size(t) if isinstance(t, np.ndarray) else None, order))
+        return original(self, t, order)
 
-    monkeypatch.setattr(analysis, "_derivative_scales", spy)
+    monkeypatch.setattr(family_module.LineFamily, "coeff_jets", spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--example", str(k)] for k in range(1, 8)])
+def test_derivative_scales_once_per_run(passes, argv):
+    # the derivative scales and the L'Hopital classification share one
+    # order-4 pass: the 129-point scale grid, then the singular parameters
+    points = analysis.find_gauss_singular_points(_build_family(parse_cli(argv)), 1001)
+    passes.clear()
     _run(argv)
-    assert len(calls) == 1
+    assert [size for size, order in passes if order == 4] == [129 + len(points)]
+
+
+def test_wide_plot_makes_no_scalar_jet_call(passes):
+    # the 61 family lines and the 637 singular markers come from one pass
+    assert _run(["plot", *SINE_EVOLUTE_WIDE[1:]]) == 0
+    assert None not in [size for size, _ in passes]
+    assert (61 + 637, 0) in passes
+
+
+def test_flat_fills_take_no_float_path(monkeypatch):
+    # example 2 is flat on its whole domain: every b is the fill, set by mask
+    calls = []
+    original = CreatorFunction.__call__
+
+    def spy(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(CreatorFunction, "__call__", spy)
+    assert _run(["analyze", "--example", "2"]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [SINE_TANGENT_FINE, SINE_EVOLUTE_WIDE])
@@ -86,13 +118,15 @@ def test_analyze_builds_no_slice_objects(monkeypatch, argv):
 
 
 def test_commands_do_not_import_numpy_ma():
-    # numpy's set routines and np.quantile import numpy.ma: 1.3 MB more resident memory
+    # numpy's set routines and np.quantile import numpy.ma: 1.3 MB more resident
+    # memory; the sine-evolute plot is not creative, so it trims the discriminant cloud
     script = """
 import contextlib, io, sys
 from envlines.cli import main
 family = ["--A", "-cos t", "--B", "1", "--C", "t*cos t - sin t"]
+evolute = ["--A", "1", "--B", "cos t", "--C", "-t - cos t*sin t"]
 for argv in (["analyze", "--example", "1"], ["discriminant", *family, "--format", "csv"],
-             ["plot", *family]):
+             ["plot", *family], ["plot", *evolute]):
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
 print("numpy.ma" in sys.modules)
