@@ -10,6 +10,8 @@ the Gauss map t -> nu(t) is singular.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CREATIVE,
     INCONCLUSIVE,
@@ -70,55 +72,6 @@ from .family import (
 )
 from .jets import Jet, JetDomainError
 
-__all__ = [
-    "CREATIVE",
-    "INCONCLUSIVE",
-    "NON_UNIQUE",
-    "NOT_CREATIVE",
-    "UNIQUE",
-    "ComparisonReport",
-    "CreativityReport",
-    "CreatorFunction",
-    "DegenerateFamilyError",
-    "DiscriminantSet",
-    "EnvelopeCurve",
-    "EnvelopePoint",
-    "ExpressionDomainError",
-    "GaussDerivativeSample",
-    "InvalidCreatorError",
-    "Jet",
-    "JetDomainError",
-    "LineCoefficients",
-    "LineFamily",
-    "OutOfDomainError",
-    "ParseError",
-    "SingularPoint",
-    "SliceSolution",
-    "TooFewSamplesError",
-    "UndefinedCreatorError",
-    "UniquenessVerdict",
-    "UnknownIdentifierError",
-    "VerificationReport",
-    "assess_creativity",
-    "assess_uniqueness",
-    "build_creator",
-    "build_family_clairaut",
-    "build_family_general",
-    "build_family_hedgehog",
-    "build_family_normalized",
-    "compare_methods",
-    "creator_at",
-    "discriminant_at",
-    "envelope_point",
-    "evaluate",
-    "evaluate_jet",
-    "fd_derivative",
-    "find_gauss_singular_points",
-    "gauss_sample",
-    "line_at",
-    "parse_expression",
-    "sample_discriminant",
-    "sample_envelope",
-    "unparse",
-    "verify_envelope",
-]
+# the public API is every name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

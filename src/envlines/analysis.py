@@ -409,7 +409,8 @@ class CreatorFunction:
         plain = ~flat & (np.abs(tp) > EPS_SING * self.scale_theta)
         for t0, _, radius in self.resolved:
             plain &= ~(np.abs(ts - t0) <= radius)
-        b[plain] = ap[plain] / tp[plain]
+        with np.errstate(all="ignore"):  # an infinite b fails the star-residual check
+            b[plain] = ap[plain] / tp[plain]
         for i in np.flatnonzero(~(plain | flat)).tolist():
             b[i] = self(float(ts[i]))
         return b

@@ -79,6 +79,8 @@ _MODE_FLAGS = {
     "hedgehog": ("--hedgehog",),
 }
 _EXPR_FLAGS = {flag for flags in _MODE_FLAGS.values() for flag in flags}
+_FORMATS = {"analyze": ("json",), "envelope": ("csv", "json"),  # the first is the default
+            "discriminant": ("json", "csv"), "compare": ("json",), "plot": ("svg",)}
 _VALUE_FLAGS = _EXPR_FLAGS | {"--domain", "--grid-n", "--user-b", "--output",
                               "--format", "--example"}
 
@@ -252,12 +254,8 @@ def parse_cli(argv: list[str]) -> RunConfig:
     else:
         grid_n = _default_grid_n()
 
-    default_format = {"analyze": "json", "envelope": "csv", "discriminant": "json",
-                      "compare": "json", "plot": "svg"}[command]
-    fmt = values.get("--format", default_format)
-    allowed = {"analyze": ("json",), "envelope": ("csv", "json"),
-               "discriminant": ("json", "csv"), "compare": ("json",),
-               "plot": ("svg",)}[command]
+    allowed = _FORMATS[command]
+    fmt = values.get("--format", allowed[0])
     if fmt not in allowed:
         raise UsageError(f"format {fmt!r} not supported by {command} (allowed: {', '.join(allowed)})")
 
@@ -374,15 +372,14 @@ class Analysis:
     comparison: dict | None
 
 
+_BUILDERS = {"normalized": build_family_normalized, "general": build_family_general,
+             "clairaut": build_family_clairaut, "hedgehog": build_family_hedgehog}
+
+
 def _build_family(config: RunConfig) -> LineFamily:
-    asts = {name: parse_expression(text) for name, text in config.expressions.items()}
-    if config.mode == "normalized":
-        return build_family_normalized(asts["theta"], asts["a"], config.domain)
-    if config.mode == "general":
-        return build_family_general(asts["A"], asts["B"], asts["C"], config.domain)
-    if config.mode == "clairaut":
-        return build_family_clairaut(asts["g"], config.domain)
-    return build_family_hedgehog(asts["a"], config.domain)
+    # the expressions come in the order of the mode's flags, as the builder takes them
+    asts = [parse_expression(text) for text in config.expressions.values()]
+    return _BUILDERS[config.mode](*asts, config.domain)
 
 
 def run_pipeline(config: RunConfig) -> Analysis:

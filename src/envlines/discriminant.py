@@ -25,6 +25,7 @@ from .analysis import (
     scan_grid,
 )
 from .envelope import Creator, EnvelopeCurve, envelope_points, sample_envelope
+from .expr import ExpressionDomainError
 from .family import LineCoefficients, LineFamily
 
 POINT = "point"
@@ -85,11 +86,16 @@ def _classify(ts: np.ndarray, c: np.ndarray, s: np.ndarray, a: np.ndarray, tp: n
     point = np.abs(tp) > EPS_SING * scale_theta
     whole = ~point & (np.abs(ap) <= EPS_CRE * scale_a)
     kind = np.select([point, whole], [0, 1], 2).astype(np.int8)
-    q = ap[point] / tp[point]
     xs = np.full(ts.shape, np.nan)
     ys = np.full(ts.shape, np.nan)
-    xs[point] = a[point] * c[point] - q * s[point]
-    ys[point] = a[point] * s[point] + q * c[point]
+    with np.errstate(all="ignore"):  # a'/theta' may overflow where theta' is tiny
+        q = ap[point] / tp[point]
+        xs[point] = a[point] * c[point] - q * s[point]
+        ys[point] = a[point] * s[point] + q * c[point]
+    bad = np.flatnonzero(point & ~(np.isfinite(xs) & np.isfinite(ys)))
+    if bad.size:
+        raise ExpressionDomainError("da/dtheta", float(ts[bad[0]]),
+                                    "the discriminant point is not finite (overflow)")
     polluted = tuple((t, LineCoefficients((ci, si), ai)) for t, ci, si, ai in zip(
         *(column[whole].tolist() for column in (ts, c, s, a))))
     return DiscriminantSet(ts, kind, xs, ys, polluted)

@@ -20,6 +20,8 @@ valid for non-positive bases.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -110,22 +112,26 @@ class Apply:
 ExpressionAst = Num | Const | Var | Neg | BinOp | Pow | Apply
 
 
-def contains_variable(node: ExpressionAst) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num, Const)):
-        return False
+def _children(node: ExpressionAst) -> tuple[ExpressionAst, ...]:
     if isinstance(node, Neg):
-        return contains_variable(node.operand)
-    if isinstance(node, (BinOp, Pow)):
-        a = node.left if isinstance(node, BinOp) else node.base
-        b = node.right if isinstance(node, BinOp) else node.exponent
-        return contains_variable(a) or contains_variable(b)
-    return contains_variable(node.argument)
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base, node.exponent)
+    if isinstance(node, Apply):
+        return (node.argument,)
+    return ()
+
+
+def contains_variable(node: ExpressionAst) -> bool:
+    return isinstance(node, Var) or any(map(contains_variable, _children(node)))
 
 
 # -- tokenizer -------------------------------------------------------------
 
+# digits with an optional fraction, or a bare fraction; then an optional exponent
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _ATOM_EXPECTED = ("'('", "'-'", "'e'", "'pi'", "'t'", "function", "number")
 
 
@@ -152,24 +158,10 @@ def _tokenize(source: str) -> list[_Token]:
             out.append(_Token("op", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            out.append(_Token("number", source[i:j], i))
-            i = j
+        number = _NUMBER.match(source, i)
+        if number:
+            out.append(_Token("number", number.group(), i))
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -303,17 +295,7 @@ def _height(node: ExpressionAst) -> int:
     while stack:
         node, level = stack.pop()
         height = max(height, level)
-        if isinstance(node, Neg):
-            children = (node.operand,)
-        elif isinstance(node, BinOp):
-            children = (node.left, node.right)
-        elif isinstance(node, Pow):
-            children = (node.base, node.exponent)
-        elif isinstance(node, Apply):
-            children = (node.argument,)
-        else:
-            children = ()
-        stack.extend((child, level + 1) for child in children)
+        stack.extend((child, level + 1) for child in _children(node))
     return height
 
 
@@ -353,66 +335,111 @@ def _render(node: ExpressionAst, parent: int) -> str:
 
 # -- evaluation --------------------------------------------------------------
 
-def evaluate_jet(expr: ExpressionAst, t, order: int) -> Jet:
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class JetProgram:
+    """Straight-line jet program of one or more expressions, compiled once.
+
+    Each distinct subexpression is one instruction, in the postorder of the
+    expressions taken in turn, so a subexpression that occurs again, in the
+    same expression or a later one, is evaluated once per pass; sin, cos and
+    tan of one argument share one sine-cosine recurrence.  A pass releases
+    each value after its last use and keeps only the jets of the expressions.
+    """
+
+    def __init__(self, exprs: tuple[ExpressionAst, ...]):
+        self._code: list = []  # (step, node whose domain it checks or None, argument slots)
+        self._slots: dict = {}  # structural key -> slot
+        self._roots, self._ends = [], []  # per expression: its slot, the code length after it
+        for expr in exprs:
+            self._roots.append(self._visit(expr))
+            self._ends.append(len(self._code))
+        last = {slot: i for i, (_, _, args) in enumerate(self._code) for slot in args}
+        self._code = [(step, node, {x for x in args if last[x] == i and x not in self._roots})
+                      for i, (step, node, args) in enumerate(self._code)]  # slots dead after i
+
+    def _emit(self, key, step, node, args: tuple[int, ...]) -> int:
+        if key not in self._slots:
+            self._slots[key] = len(self._code)
+            self._code.append((step, node, args))
+        return self._slots[key]
+
+    def _visit(self, node: ExpressionAst) -> int:
+        if isinstance(node, (Num, Const)):
+            value = float(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
+            return self._emit(value.hex(), lambda regs, t, k: Jet.constant(value, t, k), None, ())
+        if isinstance(node, Var):
+            return self._emit(node, lambda regs, t, k: Jet.variable(t, k), None, ())
+        if isinstance(node, Neg):
+            x = self._visit(node.operand)
+            return self._emit(("neg", x), lambda regs, t, k: -regs[x], None, (x,))
+        if isinstance(node, BinOp):
+            x, y, f = self._visit(node.left), self._visit(node.right), _BINARY[node.op]
+            return self._emit((node.op, x, y), lambda regs, t, k: f(regs[x], regs[y]), node, (x, y))
+        x = self._visit(node.base if isinstance(node, Pow) else node.argument)
+        if isinstance(node, Pow):
+            exponent = JetProgram((node.exponent,))
+
+            def power(regs, t, k):
+                # the exponent has no t, so one point gives its value everywhere
+                r = exponent.run(t if isinstance(t, float) else 0.0, 0)[0].value
+                n = round(r)
+                if abs(r - n) <= 1e-12 * max(1.0, abs(r)):
+                    return jets.powi(regs[x], int(n))
+                return jets.powr(regs[x], r)
+            return self._emit(("^", x, node.exponent), power, node, (x,))
+        f = getattr(jets, node.func if node.func != "abs" else "absolute")
+        if node.func not in ("sin", "cos", "tan"):
+            return self._emit((node.func, x), lambda regs, t, k: f(regs[x]), node, (x,))
+        sc = self._emit(("sincos", x), lambda regs, t, k: jets.sincos_series(regs[x]), None, (x,))
+        return self._emit((node.func, x), lambda regs, t, k: f(regs[x], regs[sc]), node, (x, sc))
+
+    def run(self, t, order: int, stop: int | None = None) -> tuple[Jet, ...]:
+        """One pass at ``t``: the jets of the expressions, or of the first
+        expressions up to code length ``stop``, which only checks them."""
+        regs: list = [None] * len(self._code)
+        for i, (step, node, dead) in enumerate(self._code[:stop]):
+            if node is None:
+                regs[i] = step(regs, t, order)
+            else:
+                try:
+                    regs[i] = jets.require_finite(step(regs, t, order))
+                except JetDomainError as err:
+                    raise ExpressionDomainError(unparse(node), t, str(err)) from err
+            for slot in dead:
+                regs[slot] = None
+        return tuple(regs[slot] for slot in self._roots)
+
+
+def evaluate_jet(expr: ExpressionAst | JetProgram, t, order: int) -> Jet | tuple[Jet, ...]:
     """Value and derivatives of ``expr`` at ``t`` up to ``order`` (0..6).
 
     ``t`` is a float, or a 1-d array of parameters for one jet over the whole
-    grid.  Either way a domain error names the first failing parameter.
+    grid.  Either way a domain error names the first failing parameter.  For
+    a ``JetProgram`` of several expressions, one pass gives the tuple of their
+    jets, and an error is the one that evaluating them in turn would raise.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
+    program = expr if isinstance(expr, JetProgram) else JetProgram((expr,))
     if not isinstance(t, np.ndarray):
-        return _eval(expr, float(t), order)
-    t = t.astype(float, copy=False)
-    try:
-        with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
-            return _eval(expr, t, order)
-    except ExpressionDomainError:
-        for u in t.tolist():
-            _eval(expr, u, order)  # raises the error of the first failing parameter
-        raise
+        result = program.run(float(t), order)
+    else:
+        t = t.astype(float, copy=False)
+        try:
+            with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
+                result = program.run(t, order)
+        except ExpressionDomainError:
+            for end in program._ends:  # the first failing expression at its first failing t
+                for u in t.tolist():
+                    program.run(u, order, end)
+            raise
+    return result if program is expr else result[0]
 
 
 def evaluate(expr: ExpressionAst, t):
     return evaluate_jet(expr, t, 0).value
-
-
-def _eval(node: ExpressionAst, t, order: int) -> Jet:
-    if isinstance(node, Num):
-        return Jet.constant(node.value, t, order)
-    if isinstance(node, Const):
-        return Jet.constant(CONSTANTS[node.name], t, order)
-    if isinstance(node, Var):
-        return Jet.variable(t, order)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t, order)
-    try:
-        if isinstance(node, BinOp):
-            left = _eval(node.left, t, order)
-            right = _eval(node.right, t, order)
-            if node.op == "+":
-                result = left + right
-            elif node.op == "-":
-                result = left - right
-            elif node.op == "*":
-                result = left * right
-            else:
-                result = left / right
-        elif isinstance(node, Pow):
-            base = _eval(node.base, t, order)
-            # the exponent has no t, so one point gives its value everywhere
-            r = _eval(node.exponent, t if isinstance(t, float) else 0.0, 0).value
-            n = round(r)
-            if abs(r - n) <= 1e-12 * max(1.0, abs(r)):
-                result = jets.powi(base, int(n))
-            else:
-                result = jets.powr(base, r)
-        else:
-            func = getattr(jets, node.func if node.func != "abs" else "absolute")
-            result = func(_eval(node.argument, t, order))
-        return jets.require_finite(result)
-    except JetDomainError as err:
-        raise ExpressionDomainError(unparse(node), t, str(err)) from err
 
 
 # -- finite-difference oracle -------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .expr import ExpressionAst, ExpressionDomainError, evaluate_jet, unparse
+from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
 from .jets import Jet, JetDomainError, any_point, differentiate, truncate
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -25,7 +25,7 @@ UNIT_TOL = 1e-12
 _BUILD_GRID_N = 257
 _MAX_COEFF_ORDER = 6
 
-_Recipe = Callable[[float | np.ndarray, int], tuple[Jet, Jet, Jet]]
+_Recipe = Callable[..., tuple[Jet, Jet, Jet]]  # (t, order, *source jets) -> (c, s, a)
 
 
 class DegenerateFamilyError(ValueError):
@@ -68,8 +68,9 @@ class GaussDerivativeSample:
 class LineFamily:
     """Immutable normalized family; all evaluation goes through its jets.
 
-    Nothing is memoized: a grid of parameters is evaluated in one array pass
-    (see ``coeff_jets``), so memory grows with the grid, not with the queries.
+    Each ``coeff_jets`` pass runs the source expressions' ``JetProgram``,
+    compiled once, over a whole grid at a time.  Nothing is memoized, so
+    memory grows with the grid, not with the queries.
     """
 
     def __init__(self, mode: str, domain: tuple[float, float],
@@ -80,6 +81,7 @@ class LineFamily:
         self.mode = mode
         self.domain = (lo, hi)
         self.source_exprs = dict(source_exprs)
+        self._program = JetProgram(tuple(self.source_exprs.values()))
         self._recipe = recipe
 
     def __repr__(self) -> str:
@@ -105,15 +107,18 @@ class LineFamily:
         if not 0 <= order <= _MAX_COEFF_ORDER:
             raise ValueError(f"order must be in [0, {_MAX_COEFF_ORDER}], got {order}")
         if not isinstance(t, np.ndarray):
-            return self._recipe(float(t), order)
+            return self._coeffs(float(t), order)
         t = t.astype(float, copy=False)
         try:
             with np.errstate(all="ignore"):  # floats overflow silently too
-                return self._recipe(t, order)
+                return self._coeffs(t, order)
         except (ExpressionDomainError, DegenerateFamilyError):
             for u in t.tolist():
-                self._recipe(u, order)  # raises the error of the first failing parameter
+                self._coeffs(u, order)  # raises the error of the first failing parameter
             raise
+
+    def _coeffs(self, t, order: int) -> tuple[Jet, Jet, Jet]:
+        return self._recipe(t, order, *evaluate_jet(self._program, t, order))
 
     def derivative_jets(self, t, order: int) -> tuple[Jet, Jet]:
         """Jets of theta' = c s' - s c' and of a', both of order ``order - 1``,
@@ -143,9 +148,9 @@ def build_family_normalized(theta: ExpressionAst, a: ExpressionAst,
                             domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Family given directly by a rotation angle theta(t) and offset a(t)."""
 
-    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
-        th = evaluate_jet(theta, t, order)
-        return jets.cos(th), jets.sin(th), evaluate_jet(a, t, order)
+    def recipe(t, order: int, th: Jet, ja: Jet) -> tuple[Jet, Jet, Jet]:
+        s, c = jets.sincos(th)
+        return c, s, ja
 
     return _validated(LineFamily("normalized", domain, {"theta": theta, "a": a}, recipe))
 
@@ -159,10 +164,7 @@ def build_family_general(A: ExpressionAst, B: ExpressionAst, C: ExpressionAst,
     flips sign between neighboring parameters.
     """
 
-    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
-        ja = evaluate_jet(A, t, order)
-        jb = evaluate_jet(B, t, order)
-        jc = evaluate_jet(C, t, order)
+    def recipe(t, order: int, ja: Jet, jb: Jet, jc: Jet) -> tuple[Jet, Jet, Jet]:
         n2 = ja * ja + jb * jb
         if any_point(n2.value <= EPS_DEGENERATE):
             raise DegenerateFamilyError(t, n2.value)
@@ -180,11 +182,11 @@ def build_family_clairaut(g: ExpressionAst,
                           domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Family of general solutions Y = t X + g(t) of a Clairaut equation."""
 
-    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
+    def recipe(t, order: int, jg: Jet) -> tuple[Jet, Jet, Jet]:
         v = Jet.variable(t, order)
         r = jets.sqrt(v * v + 1.0)
         one = Jet.constant(1.0, t, order)
-        return v / r, -(one / r), -(evaluate_jet(g, t, order) / r)
+        return v / r, -(one / r), -(jg / r)
 
     return _validated(LineFamily("clairaut", domain, {"g": g}, recipe))
 
@@ -193,9 +195,9 @@ def build_family_hedgehog(a: ExpressionAst,
                           domain: tuple[float, float] = DEFAULT_DOMAIN) -> LineFamily:
     """Support-function family: theta(t) = t with offset a(t)."""
 
-    def recipe(t, order: int) -> tuple[Jet, Jet, Jet]:
-        v = Jet.variable(t, order)
-        return jets.cos(v), jets.sin(v), evaluate_jet(a, t, order)
+    def recipe(t, order: int, ja: Jet) -> tuple[Jet, Jet, Jet]:
+        s, c = jets.sincos(Jet.variable(t, order))
+        return c, s, ja
 
     return _validated(LineFamily("hedgehog", domain, {"a": a}, recipe))
 

@@ -139,10 +139,12 @@ def any_point(condition) -> bool:
 
 
 def _elementwise(f, x):
-    """The ``math`` function f at a float, or at each element of an array."""
+    """The ``math`` function f at a float, or at each element of an array or list."""
     try:
         if isinstance(x, np.ndarray):
-            return np.fromiter(map(f, x.tolist()), float, count=x.size)
+            x = x.tolist()
+        if isinstance(x, list):
+            return np.fromiter(map(f, x), float, count=len(x))
         return f(x)
     except OverflowError as err:
         raise JetDomainError(f"{f.__name__} overflows") from err
@@ -209,8 +211,9 @@ def _log(u: list) -> list:
 
 
 def _sincos(u: list) -> tuple[list, list]:
-    s = [_elementwise(math.sin, u[0])]
-    c = [_elementwise(math.cos, u[0])]
+    x = u[0].tolist() if isinstance(u[0], np.ndarray) else u[0]  # one list for both sweeps
+    s = [_elementwise(math.sin, x)]
+    c = [_elementwise(math.cos, x)]
     for k in range(1, len(u)):
         acc_s = acc_c = 0.0
         for j in range(1, k + 1):
@@ -253,19 +256,30 @@ def _atan(u: list) -> list:
 
 # -- elementary functions on jets -----------------------------------------
 
-def sin(j: Jet) -> Jet:
-    return _wrap(j, _sincos(_taylor(j))[0])
+def sincos_series(j: Jet) -> tuple[list, list]:
+    """The series of sin j and cos j from one recurrence, which sin, cos and
+    tan of j share."""
+    return _sincos(_taylor(j))
 
 
-def cos(j: Jet) -> Jet:
-    return _wrap(j, _sincos(_taylor(j))[1])
+def sin(j: Jet, series: tuple[list, list]) -> Jet:
+    return _wrap(j, series[0])
 
 
-def tan(j: Jet) -> Jet:
-    s, c = _sincos(_taylor(j))
+def cos(j: Jet, series: tuple[list, list]) -> Jet:
+    return _wrap(j, series[1])
+
+
+def tan(j: Jet, series: tuple[list, list]) -> Jet:
+    s, c = series
     if any_point(c[0] == 0.0):
         raise JetDomainError("tan undefined where cos vanishes")
     return _wrap(j, _div(s, c))
+
+
+def sincos(j: Jet) -> tuple[Jet, Jet]:
+    series = sincos_series(j)  # one recurrence for both
+    return sin(j, series), cos(j, series)
 
 
 def atan(j: Jet) -> Jet:

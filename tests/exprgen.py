@@ -8,26 +8,27 @@ stays far inside the comparison tolerance.
 import random
 
 
-def gentle_expression(rng: random.Random) -> str:
+def gentle_factor(rng: random.Random) -> str:
     def coeff() -> str:
         return format(rng.uniform(0.2, 2.0), ".3f")
 
-    def factor() -> str:
-        kind = rng.randrange(5)
-        if kind == 0:
-            return f"{coeff()}*t^{rng.choice((2, 3))}"
-        if kind == 1:
-            return f"sin({coeff()}*t)"
-        if kind == 2:
-            return f"cos({coeff()}*t)"
-        if kind == 3:
-            return f"({coeff()} + {coeff()}*t)^{rng.choice((2, 3))}"
-        return f"{coeff()}*t"
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"{coeff()}*t^{rng.choice((2, 3))}"
+    if kind == 1:
+        return f"sin({coeff()}*t)"
+    if kind == 2:
+        return f"cos({coeff()}*t)"
+    if kind == 3:
+        return f"({coeff()} + {coeff()}*t)^{rng.choice((2, 3))}"
+    return f"{coeff()}*t"
 
+
+def gentle_expression(rng: random.Random) -> str:
     def term() -> str:
         if rng.random() < 0.4:
-            return factor() + "*" + factor()
-        return factor()
+            return gentle_factor(rng) + "*" + gentle_factor(rng)
+        return gentle_factor(rng)
 
     parts = [term() for _ in range(rng.randrange(1, 4))]
     source = parts[0]

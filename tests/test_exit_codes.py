@@ -99,6 +99,11 @@ def test_main_ends_in_a_documented_exit_code(argv):
      "error: family is not_creative; comparison needs a creator\n"),
     # |E'|^2 overflows in verify_envelope
     (["analyze", "--g", "1e300", "--domain", "0:1", "--grid-n", "74"], 4, ""),
+    # a'/theta' overflows where theta' = 1e-300 is still above the band
+    *[([command, "--theta", "1e-300*t", "--a", "1e10*t", "--domain", "-1:1"], 5,
+       "error: domain error in 'da/dtheta' at t = -1.0: "
+       "the discriminant point is not finite (overflow)\n")
+      for command in ("discriminant", "plot", "analyze")],
 ])
 def test_overflow_raises_no_warning(argv, code, err):
     assert _stderr_of(argv) == (code, err)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,9 @@ from envlines import (
     parse_expression,
     unparse,
 )
-from envlines.expr import Apply, BinOp, Const, Neg, Num, Pow, Var
-from exprgen import gentle_expression
+import jet_reference
+from envlines.expr import Apply, BinOp, Const, JetProgram, Neg, Num, Pow, Var
+from exprgen import gentle_expression, gentle_factor
 
 P = parse_expression
 
@@ -239,6 +241,61 @@ def test_jet_first_derivative_matches_finite_differences(seed, t):
     exact = evaluate_jet(expr, t, 1).coeffs[1]
     estimate = fd_derivative(expr, t, 1, 1e-5)
     assert abs(exact - estimate) <= 1e-6 * (1.0 + abs(exact))
+
+
+@st.composite
+def _shared_expressions(draw):
+    """1 to 3 expressions over one pool: gentle factors, and sin, cos and tan
+    of one argument, with a log of it and a sqrt of its negative, which leave
+    their domains on opposite sides of its zeros."""
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    arg = gentle_factor(rng)
+    pool = [gentle_factor(rng) for _ in range(3)]
+    pool += [f"{func}({arg})" for func in ("sin", "cos", "tan", "log")] + [f"sqrt(-({arg}))"]
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(st.sampled_from(pool))
+        for _ in range(draw(st.integers(0, 3))):
+            source += draw(st.sampled_from("+-*/")) + draw(st.sampled_from(pool))
+        exprs.append(P(source))
+    return tuple(exprs)
+
+
+_grid_points = st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                  st.sampled_from([0.0, 1.0, -1.0, 1.5707963267948966])),
+                        min_size=1, max_size=12)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@given(_shared_expressions(), _grid_points, st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_program_matches_the_recursive_evaluator(exprs, points, order):
+    # the shared program against one recursive evaluation per expression, in
+    # turn: the same jets bit for bit, or the same first domain error
+    program = JetProgram(exprs)
+    for t in (np.array(points), points[0]):
+        try:
+            expected = [jet_reference.evaluate_jet(expr, t, order) for expr in exprs]
+        except ExpressionDomainError as err:
+            with pytest.raises(ExpressionDomainError) as got:
+                evaluate_jet(program, t, order)
+            assert str(got.value) == str(err)
+            continue
+        jets = evaluate_jet(program, t, order)
+        assert len(jets) == len(exprs)
+        for jet, reference in zip(jets, expected):
+            assert jet.order == order
+            assert [_bits(c) for c in jet.coeffs] == [_bits(c) for c in reference.coeffs]
+
+
+def test_shared_subexpressions_compile_once():
+    # -cos t, 1 and t*cos t - sin t: t, one sine-cosine series, cos t, -cos t,
+    # 1, t*cos t, sin t and the difference
+    program = JetProgram((P("-cos t"), P("1"), P("t*cos t - sin t")))
+    assert len(program._code) == 8
 
 
 class TestJetType:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import envlines
-from envlines import analysis, family as family_module
+from envlines import analysis, family as family_module, jets
 from envlines.analysis import CreatorFunction
 from envlines.cli import _build_family, main, parse_cli
 from envlines.discriminant import SliceSolution
@@ -83,6 +83,22 @@ def test_wide_plot_makes_no_scalar_jet_call(passes):
     assert _run(["plot", *SINE_EVOLUTE_WIDE[1:]]) == 0
     assert None not in [size for size, _ in passes]
     assert (61 + 637, 0) in passes
+
+
+@pytest.mark.parametrize("example", [1, 4, 6])
+def test_one_sine_cosine_recurrence_per_pass(monkeypatch, passes, example):
+    # sin, cos and tan of one argument share a recurrence, across A, B and C
+    # (examples 1 and 6) and for cos theta and sin theta (example 4)
+    runs = []
+    original = jets._sincos
+
+    def spy(u):
+        runs.append(len(u))
+        return original(u)
+
+    monkeypatch.setattr(jets, "_sincos", spy)
+    _run(["analyze", "--example", str(example)])
+    assert len(runs) == len(passes) > 0
 
 
 def test_flat_fills_take_no_float_path(monkeypatch):
