@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import ExpressionAst, ExpressionDomainError, evaluate, unparse
+from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
 from .family import DegenerateFamilyError, LineFamily
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
@@ -24,6 +24,7 @@ EPS_STAR = 1e-6       # normalized residual bound for a' = b theta'
 QUOTIENT_COND = 1e-6  # |theta'| level at which the quotient a'/theta' is trusted
 LHOPITAL_DEPTH = 4
 ROOT_WIDTH = 1e-12
+LOOKAHEAD_POINTS = 128  # refinement pass size: 1 parameter costs about what 100 do
 MIN_GRID_N = 16
 FLAT_LABEL = "flat-to-order-4"
 
@@ -161,6 +162,23 @@ def _is_flat_run(scan: GridScan, run: tuple[int, int]) -> bool:
 
 # -- root refinement ---------------------------------------------------------
 
+def _tree(lo: np.ndarray, hi: np.ndarray, depth: int, ternary: bool) -> list[np.ndarray]:
+    """The points a step places in each row's [lo, hi] (the midpoint, or the
+    two trisection points) and in the first ``depth`` levels below it, one
+    array (rows x nodes) per kind of point.  Node j of level l is column
+    2^l - 1 + j; its children are nodes j (toward lo) and j + 2^l."""
+    a, b, levels = lo[:, None], hi[:, None], []
+    for _ in range(depth if lo.size else 0):
+        if ternary:
+            third = (b - a) / 3.0
+            m1, m2 = a + third, b - third
+        else:
+            m1 = m2 = 0.5 * (a + b)
+        levels.append((m1, m2) if ternary else (m1,))
+        a, b = np.concatenate((a, m1), axis=1), np.concatenate((m2, b), axis=1)
+    return [np.concatenate(kind, axis=1) for kind in zip(*levels)]
+
+
 def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
             dip_lo: np.ndarray, dip_hi: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,48 +187,65 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
     the minimum of |theta'| to ROOT_WIDTH/10; the roots, the minimizers and
     |theta'| there.
 
-    All rows advance in lock-step, one array pass of the jets per step over
-    the rows still open.  The array jets round like the float jets element
-    by element, so each row ends on the same bits as a loop over the rows
-    would.  On a domain error the bisections are replayed one at a time in
-    order, then the searches, so the error names the parameter such a loop
-    meets first."""
+    All rows advance in lock-step.  Each array pass evaluates the first
+    levels of every open row's search tree, as many as fit in
+    LOOKAHEAD_POINTS parameters (at least one), and the rows then walk them
+    with the rules of one step.  The points are computed as a step computes
+    them and the array jets round like the float jets, so each row ends on
+    the bits of a loop over the rows.  A domain error, perhaps off every
+    row's path, runs the refinement again one level per pass; if that fails
+    too, the bisections and then the searches are replayed one at a time in
+    order, so the error names the parameter such a loop meets first."""
 
-    def run(lo, hi, f_lo, dip_lo, dip_hi):
+    def run(lo, hi, f_lo, dip_lo, dip_hi, budget):
         lo, hi, f_lo = np.concatenate((lo, dip_lo)), np.concatenate((hi, dip_hi)), f_lo.copy()
         k = f_lo.size
         bis = np.flatnonzero(hi[:k] - lo[:k] > ROOT_WIDTH)
         ter = k + np.flatnonzero(hi[k:] - lo[k:] > ROOT_WIDTH * 0.1)
         while bis.size or ter.size:
-            mid = 0.5 * (lo[bis] + hi[bis])
-            third = (hi[ter] - lo[ter]) / 3.0
-            m1, m2 = lo[ter] + third, hi[ter] - third
-            f = _first_derivatives(family, np.concatenate((mid, m1, m2)))[0]
-            f_mid, w = f[:bis.size], np.abs(f[bis.size:])
-            left = (f_lo[bis] < 0.0) != (f_mid < 0.0)
-            hi[bis[left]] = mid[left]
-            lo[bis[~left]], f_lo[bis[~left]] = mid[~left], f_mid[~left]
-            exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
-            lo[bis[exact]] = hi[bis[exact]] = mid[exact]
-            left = w[:ter.size] <= w[ter.size:]
-            hi[ter[left]] = m2[left]
-            lo[ter[~left]] = m1[~left]
-            bis = bis[hi[bis] - lo[bis] > ROOT_WIDTH]
-            ter = ter[hi[ter] - lo[ter] > ROOT_WIDTH * 0.1]
+            depth = max(1, (budget // (bis.size + 2 * ter.size) + 1).bit_length() - 1)
+            points = np.concatenate(_tree(lo[bis], hi[bis], depth, False)
+                                    + _tree(lo[ter], hi[ter], depth, True))
+            f = _first_derivatives(family, points.ravel())[0].reshape(points.shape)
+            nb, nt = bis.size, ter.size
+            row, node = np.arange(nb), np.zeros(nb, dtype=int)
+            for level in range(depth):
+                if not bis.size:
+                    break
+                mid, f_mid = points[row, node], f[row, node]
+                left = (f_lo[bis] < 0.0) != (f_mid < 0.0)
+                hi[bis[left]] = mid[left]
+                lo[bis[~left]], f_lo[bis[~left]] = mid[~left], f_mid[~left]
+                exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
+                lo[bis[exact]] = hi[bis[exact]] = mid[exact]
+                keep = hi[bis] - lo[bis] > ROOT_WIDTH
+                bis, row, node = bis[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
+            row, node = np.arange(nb, nb + nt), np.zeros(nt, dtype=int)
+            for level in range(depth):
+                if not ter.size:
+                    break
+                left = np.abs(f[row, node]) <= np.abs(f[row + nt, node])
+                hi[ter[left]] = points[row + nt, node][left]
+                lo[ter[~left]] = points[row, node][~left]
+                keep = hi[ter] - lo[ter] > ROOT_WIDTH * 0.1
+                ter, row, node = ter[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
         t = 0.5 * (lo + hi)
         t_min = t[k:]
         value = np.abs(_first_derivatives(family, t_min)[0]) if t_min.size else t_min
         return t[:k], t_min, value
 
-    try:
-        return run(lo, hi, f_lo, dip_lo, dip_hi)
-    except (ExpressionDomainError, DegenerateFamilyError):
-        none = np.empty(0)
-        for i in range(lo.size):
-            run(lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], none, none)
-        for i in range(dip_lo.size):
-            run(none, none, none, dip_lo[i:i + 1], dip_hi[i:i + 1])
-        raise
+    for budget in (LOOKAHEAD_POINTS, 0):
+        try:
+            return run(lo, hi, f_lo, dip_lo, dip_hi, budget)
+        except (ExpressionDomainError, DegenerateFamilyError):
+            if budget:
+                continue  # the failing point may lie off every row's path
+            none = np.empty(0)
+            for i in range(lo.size):
+                run(lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], none, none, 0)
+            for i in range(dip_lo.size):
+                run(none, none, none, dip_lo[i:i + 1], dip_hi[i:i + 1], 0)
+            raise
 
 
 # -- point classification -----------------------------------------------------
@@ -349,6 +384,7 @@ class CreatorFunction:
         self.unresolved_ts = unresolved_ts
         self.flat_intervals = flat_intervals  # (lo, hi, fill value)
         self.user_expr = user_expr
+        self._user_program = JetProgram((user_expr,)) if user_expr is not None else None
 
     @property
     def kind(self) -> str:
@@ -357,7 +393,7 @@ class CreatorFunction:
     def __call__(self, t):
         """b at t, a float or a 1-d array of parameters."""
         if self.user_expr is not None:
-            return evaluate(self.user_expr, t)
+            return evaluate_jet(self._user_program, t, 0)[0].value
         if isinstance(t, np.ndarray):
             return self.on_grid(t, *_first_derivatives(self.family, t))
         for lo, hi, fill in self.flat_intervals:
@@ -395,7 +431,7 @@ class CreatorFunction:
     def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
         """b at the parameters ts, where theta' and a' are tp and ap."""
         if self.user_expr is not None:
-            return evaluate(self.user_expr, ts)
+            return self(ts)
         # the fills on flat intervals (the first interval wins) and the plain
         # quotient wherever the float path would take them; the few
         # parameters in blend zones or in the band go through the float path

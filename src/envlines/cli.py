@@ -300,18 +300,25 @@ def _json_escape(text: str) -> str:
 _SCALARS = {float, int, bool, str, type(None)}
 
 
+def _is_floats(value) -> bool:
+    return type(value) in (list, tuple) and set(map(type, value)) <= {float}
+
+
 def _table(rows: list[dict], indent: int) -> str:
     """Flat dicts that share one key order, written column by column: a
-    ``%.17g`` for each float and the per-value text of every other cell,
-    then all the floats in one pass."""
+    ``%.17g`` for each float, also in a list of floats, and the per-value
+    text of every other cell; then all the floats in one pass."""
     pad, field = "  " * indent, "  " * (indent + 1)
     heads = [f"{field}{_json_escape(key)}: ".replace("%", "%%") for key in rows[0]]
-    columns = [[head + ("%.17g" if type(v) is float else to_json(v).replace("%", "%%"))
+    columns = [[head + ("%.17g" if type(v) is float
+                        else "[" + ", ".join(["%.17g"] * len(v)) + "]" if _is_floats(v)
+                        else to_json(v).replace("%", "%%"))
                 for v in column]
                for head, column in zip(heads, zip(*[row.values() for row in rows]))]
     body = ",\n".join(pad + "{\n" + ",\n".join(cells) + "\n" + pad + "}"
                       for cells in zip(*columns))
-    return _fmt_floats(body, [v for row in rows for v in row.values() if type(v) is float])
+    return _fmt_floats(body, [x for row in rows for v in row.values()
+                              for x in ((v,) if type(v) is float else v if _is_floats(v) else ())])
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -327,6 +334,8 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if _is_floats(value):
+            return _fmt_floats("[" + ", ".join(["%.17g"] * len(value)) + "]", value)
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             return "[" + ", ".join(
                 _fmt_float(v) if isinstance(v, float) else str(v) for v in value
@@ -338,7 +347,8 @@ def to_json(value, indent: int = 0) -> str:
                 return "[\n" + _fmt_floats(",\n".join([line] * len(value)), flat) + "\n" + pad + "]"
         keys = list(value[0]) if type(value[0]) is dict else None
         if keys and all(type(row) is dict and list(row) == keys
-                        and set(map(type, row.values())) <= _SCALARS for row in value):
+                        and all(type(v) in _SCALARS or _is_floats(v) for v in row.values())
+                        for row in value):
             return "[\n" + _table(value, indent + 1) + "\n" + pad + "]"
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"

@@ -379,11 +379,17 @@ class JetProgram:
             return self._emit((node.op, x, y), lambda regs, t, k: f(regs[x], regs[y]), node, (x, y))
         x = self._visit(node.base if isinstance(node, Pow) else node.argument)
         if isinstance(node, Pow):
+            # the exponent has no t, so one point gives its value everywhere;
+            # one that fails is evaluated, and fails, on every pass
             exponent = JetProgram((node.exponent,))
+            try:
+                folded = exponent.run(0.0, 0)[0].value
+            except ExpressionDomainError:
+                folded = None
 
             def power(regs, t, k):
-                # the exponent has no t, so one point gives its value everywhere
-                r = exponent.run(t if isinstance(t, float) else 0.0, 0)[0].value
+                r = folded if folded is not None else exponent.run(
+                    t if isinstance(t, float) else 0.0, 0)[0].value
                 n = round(r)
                 if abs(r - n) <= 1e-12 * max(1.0, abs(r)):
                     return jets.powi(regs[x], int(n))

@@ -10,8 +10,9 @@ which case every coefficient is an array over those points and one pass of
 the recurrences evaluates the whole grid (Taylor propagation on coefficient
 arrays).  Both cases run the same code and round identically element by
 element: the recurrences use only + - * /, sums accumulate left to right
-from 0.0, and every transcendental or root goes through ``math`` (numpy's
-own kernels differ from libm in the last ulp on some inputs and CPUs).
+from 0.0, and every transcendental goes through ``math`` (numpy's own
+kernels differ from libm in the last ulp on some inputs and CPUs).  The
+square root, correctly rounded in both, takes ``np.sqrt`` on arrays.
 
 Internally the recurrences run on normalized Taylor coefficients
 u_k = f^(k)/k!; the public ``Jet.coeffs`` tuple holds plain derivative
@@ -229,8 +230,9 @@ def _sqrt(u: list) -> list:
         raise JetDomainError(f"sqrt of negative value {u[0]!r}")
     if len(u) > 1 and any_point(u[0] == 0.0):
         raise JetDomainError("derivative of sqrt at zero")
-    # + 0.0 turns sqrt(-0.0) = -0.0 into 0.0
-    w = [_elementwise(math.sqrt, u[0]) + 0.0]
+    # sqrt is correctly rounded (IEEE 754), so numpy's kernel gives libm's
+    # bits; + 0.0 turns sqrt(-0.0) = -0.0 into 0.0
+    w = [(np.sqrt(u[0]) if isinstance(u[0], np.ndarray) else math.sqrt(u[0])) + 0.0]
     for k in range(1, len(u)):
         acc = 0.0
         for j in range(1, k):

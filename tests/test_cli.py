@@ -462,6 +462,7 @@ class TestJsonWriter:
                     1.7976931348623157e308, 1e-310, 123456789.0, -2.5e-5]
         payload = {
             "float_rows": [[x, -x, 1.0 / (1.0 + abs(x))] for x in specials],
+            "float_list": specials,
             "mixed_rows": [[1, 2.5, 3], [4.0, 5, 6.0], [10 ** 17, 1e17, -0.0]],
             "ragged_rows": [[1.0, 2.0], [3.0]],
             "text": "".join(map(chr, range(0x20))) + '"\\ é \x7f end',
@@ -480,16 +481,32 @@ class TestJsonWriter:
         assert str(bulk.value) == str(per_value.value) == \
             f"non-finite value {bad!r} cannot be serialized"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        lambda bad: [0.5, 1.5, 2.5, bad, -bad, 3.5],
+        lambda bad: [{"a": 0.5, "b": []}, {"a": 1.5, "b": [0.5, bad]}, {"a": -bad, "b": [2.5]}],
+    ], ids=["float_list", "table_list_cells"])
+    def test_bulk_lists_reject_non_finite_values_alike(self, bad, value):
+        # the first non-finite value in document order, also inside a table's list cells
+        with pytest.raises(ValueError) as per_value:
+            _to_json_per_value(value(bad))
+        with pytest.raises(ValueError) as bulk:
+            to_json(value(bad))
+        assert str(bulk.value) == str(per_value.value) == \
+            f"non-finite value {bad!r} cannot be serialized"
+
     TABLE_CELLS = [None, True, False, 0, -7, 10 ** 17, "flat-to-order-4", -0.0, 5e-324, 1e16,
                    "".join(map(chr, range(0x20))) + '"\\ %s %% é']
 
     def test_bulk_tables_match_per_value_formatting(self):
         # flat dicts with one key order: written column by column
         cells = self.TABLE_CELLS
-        table = [{"t": 0.5 * k, "x %s": a, "y": b}
+        table = [{"t": 0.5 * k, "x %s": a, "y": b, "nu": [b, 0.25][:k % 3]}
+                 if type(b) is float else {"t": 0.5 * k, "x %s": a, "y": b, "nu": [-0.5 * k]}
                  for k, (a, b) in enumerate(zip(cells, reversed(cells)))]
         payload = {"table": table, "nested": {"table": table[:2]},
-                   "not_a_table": [{"t": 1.0}, {"u": 1.0}, {"t": [1.0]}, {}]}
+                   "not_a_table": [{"t": 1.0}, {"u": 1.0}, {"t": [1.0]}, {}],
+                   "int_list_cells": [{"t": 1.0, "nu": [1, 2.0]}, {"t": 2.0, "nu": [3.0, 4]}]}
         assert to_json(table) == _to_json_per_value(table)
         assert to_json(payload) == _to_json_per_value(payload)
 

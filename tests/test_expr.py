@@ -131,6 +131,16 @@ class TestEvaluateJet:
         with pytest.raises(ExpressionDomainError):
             evaluate_jet(P("t^(1e300)"), 2.0, 0)
 
+    def test_failing_constant_exponent_fails_on_every_pass(self):
+        # the exponent is folded when the program compiles, unless it fails:
+        # then each pass raises, naming its own parameter
+        program = JetProgram((P("t^(1/0)"),))
+        for t in (0.5, 0.25):
+            with pytest.raises(ExpressionDomainError, match=f"'1.0/0.0' at t = {t!r}"):
+                evaluate_jet(program, t, 0)
+        with pytest.raises(ExpressionDomainError, match="at t = -1.0"):
+            evaluate_jet(program, np.array([-1.0, 1.0]), 0)
+
     def test_real_power_needs_positive_base(self):
         with pytest.raises(ExpressionDomainError):
             evaluate_jet(P("t^0.5"), -1.0, 0)

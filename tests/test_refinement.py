@@ -1,6 +1,7 @@
 """Lock-step refinement of Gauss-map singular points: bisections and ternary
-searches advance together in one loop of array passes and end on the same
-bits as the bracket-by-bracket reference."""
+searches advance together in one loop of array passes, each pass looking
+several levels ahead, and end on the same bits as the bracket-by-bracket
+reference."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlines import analysis, family as family_module
-from envlines.analysis import _refine, find_gauss_singular_points
+from envlines.analysis import LOOKAHEAD_POINTS, _refine, find_gauss_singular_points
 from envlines.cli import WORKED_EXAMPLES, _build_family, main, parse_cli
+from envlines.expr import ExpressionDomainError
 from refinement_reference import bisect_root, minimize_abs, theta_prime
 
 _FAMILIES = {k: _build_family(parse_cli(["analyze", "--example", str(k)]))
@@ -18,13 +20,13 @@ _NONE = np.empty(0)
 
 
 @st.composite
-def _intervals(draw, family, max_size=8):
-    """Up to ``max_size`` intervals inside the family's domain, from cells of
-    the default grid down to a few times ROOT_WIDTH."""
+def _intervals(draw, family, max_size=8, min_size=1):
+    """``min_size`` to ``max_size`` intervals inside the family's domain, from
+    cells of the default grid down to a few times ROOT_WIDTH."""
     lo_d, hi_d = family.domain
     length = hi_d - lo_d
     intervals = []
-    for _ in range(draw(st.integers(1, max_size))):
+    for _ in range(draw(st.integers(min_size, max_size))):
         width = length * 10.0 ** draw(st.floats(-12.5, -1.0))
         lo = lo_d + draw(st.floats(0.0, 1.0)) * (length - width)
         intervals.append((lo, lo + width))
@@ -80,6 +82,22 @@ def test_mixed_rows_match_reference(data):
         minimize_abs(family, *args) for args in zip(dip_lo.tolist(), dip_hi.tolist())]
 
 
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_more_rows_than_a_deep_pass_holds_match_reference(data):
+    # past LOOKAHEAD_POINTS / 3 rows the passes look one level ahead; rows of
+    # different widths retire at different steps, so later passes look deeper
+    family = _FAMILIES[data.draw(st.sampled_from(sorted(_FAMILIES)))]
+    lo, hi = data.draw(_intervals(family, LOOKAHEAD_POINTS // 2, LOOKAHEAD_POINTS // 3 + 1))
+    dip_lo, dip_hi = data.draw(_intervals(family))
+    f_lo = _f_lo(family, lo)
+    roots, t_min, value = _refine(family, lo, hi, f_lo, dip_lo, dip_hi)
+    assert roots.tolist() == [bisect_root(family, *args)
+                              for args in zip(lo.tolist(), hi.tolist(), f_lo.tolist())]
+    assert list(zip(t_min.tolist(), value.tolist())) == [
+        minimize_abs(family, *args) for args in zip(dip_lo.tolist(), dip_hi.tolist())]
+
+
 def test_grid_brackets_match_reference(sine_evolute):
     # every sign-change bracket of the default grid, refined together
     ts = analysis.parameter_grid(sine_evolute.domain, 1001)
@@ -111,7 +129,43 @@ def test_singular_search_makes_few_jet_passes(pass_sizes):
     pass_sizes.clear()
     points = find_gauss_singular_points(family, 10001)
     assert len(points) == 637     # theta' = 0 at every multiple of pi
-    assert len(pass_sizes) <= 80  # bracket by bracket it took 24,959
+    assert len(pass_sizes) <= 50  # one step per pass took 76, bracket by bracket 24,959
+
+
+def test_one_level_and_deeper_passes_match_reference(pass_sizes):
+    family = _FAMILIES[1]
+    rows = LOOKAHEAD_POINTS // 2
+    lo = np.linspace(-0.9, 0.9, rows) * np.pi
+    hi = lo + np.logspace(-11.0, -1.0, rows)  # the narrow rows retire first
+    f_lo = _f_lo(family, lo)
+    pass_sizes.clear()
+    roots = _refine(family, lo, hi, f_lo, _NONE, _NONE)[0]
+    sizes = pass_sizes[:]
+    assert roots.tolist() == [bisect_root(family, *args)
+                              for args in zip(lo.tolist(), hi.tolist(), f_lo.tolist())]
+    assert sizes[0] == rows     # one level per pass
+    assert max(sizes) > rows    # later, several
+
+
+def test_off_path_point_outside_the_domain(pass_sizes):
+    # the look-ahead tree of [0.05, 1] holds t = 0.346875, inside the hole of
+    # a; the path to the root at 0.7 never goes there
+    family = _build_family(parse_cli(["analyze", "--theta", "(t-0.7)^2/2",
+                                      "--a", "sqrt((t - 0.346875)^2 - 1e-6)",
+                                      "--domain", "-1:1"]))
+    with pytest.raises(ExpressionDomainError):
+        analysis._first_derivatives(family, np.array([0.346875]))
+    f_lo = theta_prime(family, 0.05)
+    pass_sizes.clear()
+    roots = _refine(family, np.array([0.05]), np.array([1.0]), np.array([f_lo]), _NONE, _NONE)[0]
+    sizes = pass_sizes[:]
+    assert roots.tolist() == [bisect_root(family, 0.05, 1.0, f_lo)]
+    assert sizes[0] == 127 and set(sizes[1:]) == {1}  # the tree failed, then one step a pass
+
+
+def test_example_1_search_makes_few_jet_passes(pass_sizes):
+    find_gauss_singular_points(_FAMILIES[1], 1001)
+    assert len(pass_sizes) <= 20  # one step per pass took 70
 
 
 @pytest.mark.parametrize("example", [2, 3, 4, 7])
