@@ -180,12 +180,12 @@ def _tree(lo: np.ndarray, hi: np.ndarray, depth: int, ternary: bool) -> list[np.
 
 
 def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-            dip_lo: np.ndarray, dip_hi: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            dip_lo: np.ndarray, dip_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisect every bracket [lo, hi] of a sign change of theta' (f_lo is
     theta' at lo) to ROOT_WIDTH and ternary-search every [dip_lo, dip_hi] for
-    the minimum of |theta'| to ROOT_WIDTH/10; the roots, the minimizers and
-    |theta'| there.
+    the minimum of |theta'| to ROOT_WIDTH/10; the roots and the minimizers.
+    A row also retires when a step leaves its bracket's width unchanged: one
+    ulp can exceed the stopping width, and such a bracket never changes again.
 
     All rows advance in lock-step.  Each array pass evaluates the first
     levels of every open row's search tree, as many as fit in
@@ -212,27 +212,28 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
             for level in range(depth):
                 if not bis.size:
                     break
-                mid, f_mid = points[row, node], f[row, node]
+                mid, f_mid, width = points[row, node], f[row, node], hi[bis] - lo[bis]
                 left = (f_lo[bis] < 0.0) != (f_mid < 0.0)
                 hi[bis[left]] = mid[left]
                 lo[bis[~left]], f_lo[bis[~left]] = mid[~left], f_mid[~left]
                 exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
                 lo[bis[exact]] = hi[bis[exact]] = mid[exact]
-                keep = hi[bis] - lo[bis] > ROOT_WIDTH
+                new = hi[bis] - lo[bis]
+                keep = (new > ROOT_WIDTH) & (new != width)
                 bis, row, node = bis[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
             row, node = np.arange(nb, nb + nt), np.zeros(nt, dtype=int)
             for level in range(depth):
                 if not ter.size:
                     break
+                width = hi[ter] - lo[ter]
                 left = np.abs(f[row, node]) <= np.abs(f[row + nt, node])
                 hi[ter[left]] = points[row + nt, node][left]
                 lo[ter[~left]] = points[row, node][~left]
-                keep = hi[ter] - lo[ter] > ROOT_WIDTH * 0.1
+                new = hi[ter] - lo[ter]
+                keep = (new > ROOT_WIDTH * 0.1) & (new != width)
                 ter, row, node = ter[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
         t = 0.5 * (lo + hi)
-        t_min = t[k:]
-        value = np.abs(_first_derivatives(family, t_min)[0]) if t_min.size else t_min
-        return t[:k], t_min, value
+        return t[:k], t[k:]
 
     for budget in (LOOKAHEAD_POINTS, 0):
         try:
@@ -321,16 +322,19 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
     dips = (~mask[1:-1] & ~(inner > trigger) & (inner < w[:-2]) & (inner < w[2:])
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
     i = np.flatnonzero(dips) + 1
-    runs = len(run_lo)
-    found, t_min, value = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
-                                  np.concatenate((run_lo, ts[i - 1])),
-                                  np.concatenate((run_hi, ts[i + 1])))
-    candidates = sorted(found.tolist() + flat_mids + t_min[:runs].tolist()
-                        + t_min[runs:][value[runs:] <= band].tolist())
+    found, t_min = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
+                           np.concatenate((run_lo, ts[i - 1])),
+                           np.concatenate((run_hi, ts[i + 1])))
+    # one pass for |theta'| at every candidate: the minimizers, then the rest
+    # in order, so a domain error names the parameter a scan in that order meets
+    every = np.concatenate((t_min, np.sort(np.concatenate((found, flat_mids)))))
+    size = np.abs(_first_derivatives(family, every)[0]) if every.size else every
+    keep = np.ones(every.size, dtype=bool)
+    keep[len(run_lo):t_min.size] = size[len(run_lo):t_min.size] <= band  # dips that touch the band
+    order = np.argsort(every[keep], kind="stable")
+    candidates, size = every[keep][order].tolist(), size[keep][order].tolist()
 
     merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (grid_n - 1)
-    size = (np.abs(_first_derivatives(family, np.array(candidates))[0]).tolist()
-            if candidates else [])
     accepted: list[int] = []  # indices into candidates
     for k, t0 in enumerate(candidates):
         if accepted and t0 - candidates[accepted[-1]] <= merge_radius:
@@ -394,61 +398,58 @@ class CreatorFunction:
         """b at t, a float or a 1-d array of parameters."""
         if self.user_expr is not None:
             return evaluate_jet(self._user_program, t, 0)[0].value
-        if isinstance(t, np.ndarray):
-            return self.on_grid(t, *_first_derivatives(self.family, t))
-        for lo, hi, fill in self.flat_intervals:
-            if lo - 1e-12 <= t <= hi + 1e-12:
-                return fill
-        nearest = None
-        for t0, b_limit, radius in self.resolved:
-            d = abs(t - t0)
-            if d <= radius and (nearest is None or d < nearest[0]):
-                nearest = (d, b_limit, radius)
-        tp, ap = _first_derivatives(self.family, t)
-        band = EPS_SING * self.scale_theta
-        if nearest is not None:
-            d, b_limit, radius = nearest
-            if abs(tp) <= band:
-                return b_limit
-            lam = d / radius
-            return lam * (ap / tp) + (1.0 - lam) * b_limit
-        if abs(tp) > band:
-            return ap / tp
-        # theta' is banded here but t missed every recorded zone.  Flat
-        # bounds are grid-resolution, so extend the nearest fill across one
-        # cell before declaring the creator undefined.
-        if self.flat_intervals:
-            lo, hi, fill = min(self.flat_intervals,
-                               key=lambda iv: max(iv[0] - t, t - iv[1], 0.0))
-            cell = (self.family.domain[1] - self.family.domain[0]) / (self.grid_n - 1)
-            if max(lo - t, t - hi, 0.0) <= cell:
-                return fill
-        bad = t
-        if self.unresolved_ts:
-            bad = min(self.unresolved_ts, key=lambda t0: abs(t - t0))
-        raise UndefinedCreatorError(float(bad))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        b = self.on_grid(ts, *_first_derivatives(self.family, ts))
+        return b if isinstance(t, np.ndarray) else float(b[0])
 
     def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
-        """b at the parameters ts, where theta' and a' are tp and ap."""
+        """b at the parameters ts, where theta' and a' are tp and ap.
+
+        Each parameter takes the first that applies of: the fill of the
+        first flat interval holding it; in the blend zone of the nearest
+        resolved point, b_limit where theta' is banded and the blend toward
+        it elsewhere; the plain quotient where theta' is outside the band;
+        the fill of the nearest flat interval within one cell (flat bounds
+        are grid-resolution).  The first parameter left over raises."""
         if self.user_expr is not None:
             return self(ts)
-        # the fills on flat intervals (the first interval wins) and the plain
-        # quotient wherever the float path would take them; the few
-        # parameters in blend zones or in the band go through the float path
-        # itself, in order
         b = np.empty(ts.shape)
-        flat = np.zeros(ts.shape, dtype=bool)
-        for lo, hi, fill in reversed(self.flat_intervals):
-            inside = (lo - 1e-12 <= ts) & (ts <= hi + 1e-12)
+        todo = np.ones(ts.shape, dtype=bool)
+        for lo, hi, fill in self.flat_intervals:
+            inside = todo & (lo - 1e-12 <= ts) & (ts <= hi + 1e-12)
             b[inside] = fill
-            flat |= inside
-        plain = ~flat & (np.abs(tp) > EPS_SING * self.scale_theta)
-        for t0, _, radius in self.resolved:
-            plain &= ~(np.abs(ts - t0) <= radius)
+            todo &= ~inside
+        banded = np.abs(tp) <= EPS_SING * self.scale_theta
         with np.errstate(all="ignore"):  # an infinite b fails the star-residual check
+            if self.resolved:
+                t0, b_limit, radius = (np.array(column) for column in zip(*self.resolved))
+                j = np.searchsorted(t0, ts)
+                near = (np.maximum(j - 1, 0), np.minimum(j, t0.size - 1))  # centres either side
+                d = [np.abs(ts - t0[k]) for k in near]
+                inside = [dk <= radius[k] for dk, k in zip(d, near)]
+                right = inside[1] & ~(inside[0] & (d[0] <= d[1]))  # the left centre wins a tie
+                k, d = np.where(right, near[1], near[0]), np.where(right, d[1], d[0])
+                zone = todo & (inside[0] | inside[1])
+                b[zone & banded] = b_limit[k[zone & banded]]
+                blend = zone & ~banded
+                lam = d[blend] / radius[k[blend]]
+                b[blend] = lam * (ap[blend] / tp[blend]) + (1.0 - lam) * b_limit[k[blend]]
+                todo &= ~zone
+            plain = todo & ~banded
             b[plain] = ap[plain] / tp[plain]
-        for i in np.flatnonzero(~(plain | flat)).tolist():
-            b[i] = self(float(ts[i]))
+            todo &= ~plain
+        if todo.any() and self.flat_intervals:
+            lo, hi, fill = (np.array(column)[:, None] for column in zip(*self.flat_intervals))
+            gap = np.maximum(np.maximum(lo - ts[todo], ts[todo] - hi), 0.0)
+            cell = (self.family.domain[1] - self.family.domain[0]) / (self.grid_n - 1)
+            near = gap.min(axis=0) <= cell
+            extend = np.flatnonzero(todo)[near]
+            b[extend] = fill[np.argmin(gap, axis=0)[near], 0]  # the first nearest interval
+            todo[extend] = False
+        if todo.any():
+            t = float(ts[np.argmax(todo)])
+            bad = min(self.unresolved_ts, key=lambda t0: abs(t - t0), default=t)
+            raise UndefinedCreatorError(float(bad))
         return b
 
     def __repr__(self) -> str:
@@ -507,13 +508,6 @@ def _assemble_canonical(family: LineFamily, grid_n: int, scan: GridScan,
     unresolved = tuple(p.t for p in isolated if not p.resolvable)
     return CreatorFunction(family, grid_n, scan.scale_theta,
                            resolved, unresolved, tuple(flats))
-
-
-def creator_at(family: LineFamily, t: float, singulars: list[SingularPoint] | tuple[SingularPoint, ...],
-               grid_n: int = 1001) -> float:
-    """Creator value at one parameter given the classified singular points."""
-    family.require_in_domain(t)
-    return _assemble_canonical(family, grid_n, scan_grid(family, grid_n), singulars, [])(t)
 
 
 def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, svgplot
+from . import Analysis, __version__, analyze, svgplot
+from . import family as family_module
 from .analysis import (
     CREATIVE,
     EPS_CRE,
@@ -31,33 +32,12 @@ from .analysis import (
     NOT_CREATIVE,
     QUOTIENT_COND,
     ROOT_WIDTH,
-    CreativityReport,
-    CreatorFunction,
-    GridScan,
     InvalidCreatorError,
     SingularPoint,
-    UndefinedCreatorError,
-    UniquenessVerdict,
-    assess_creativity,
-    assess_uniqueness,
-    build_creator,
-    find_gauss_singular_points,
     grid_profile,
-    mark_unverified,
-    scan_grid,
 )
-from .discriminant import DiscriminantSet, compare_methods, sample_discriminant
-from .envelope import EnvelopeCurve, sample_envelope, verify_envelope
 from .expr import MAX_NESTING, ExpressionDomainError, ParseError, parse_expression
-from .family import (
-    DegenerateFamilyError,
-    LineFamily,
-    OutOfDomainError,
-    build_family_clairaut,
-    build_family_general,
-    build_family_hedgehog,
-    build_family_normalized,
-)
+from .family import DegenerateFamilyError, LineFamily, OutOfDomainError
 
 COMMANDS = ("analyze", "envelope", "discriminant", "compare", "plot")
 DEFAULT_GRID_N = 1001
@@ -363,82 +343,13 @@ def to_json(value, indent: int = 0) -> str:
     return _json_escape(str(value))
 
 
-# -- pipeline ---------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Analysis:
-    """Everything one run concluded, built from one scan of the analysis grid;
-    the document, the CSV and JSON exports and the figure are views of it."""
-
-    family: LineFamily
-    scan: GridScan
-    singulars: tuple[SingularPoint, ...]
-    creativity: CreativityReport
-    uniqueness: UniquenessVerdict
-    creator: CreatorFunction | None
-    envelope: EnvelopeCurve | None
-    verification: dict | None
-    discriminant: DiscriminantSet
-    comparison: dict | None
-
-
-_BUILDERS = {"normalized": build_family_normalized, "general": build_family_general,
-             "clairaut": build_family_clairaut, "hedgehog": build_family_hedgehog}
-
+# -- the run ------------------------------------------------------------------------
 
 def _build_family(config: RunConfig) -> LineFamily:
-    # the expressions come in the order of the mode's flags, as the builder takes them
+    # the expressions come in the order of the mode's flags, as the builder
+    # takes them; the builder is looked up in its module at each call
     asts = [parse_expression(text) for text in config.expressions.values()]
-    return _BUILDERS[config.mode](*asts, config.domain)
-
-
-def run_pipeline(config: RunConfig) -> Analysis:
-    family = _build_family(config)
-    n = config.grid_n
-    scan = scan_grid(family, n)
-    singulars = find_gauss_singular_points(family, n, scan)
-    report = assess_creativity(family, n, singulars, scan)
-    uniqueness = assess_uniqueness(family, n, scan)
-    disc = sample_discriminant(family, n, singulars, scan)
-
-    creator = None
-    curve = None
-    verification = None
-    comparison = None
-    if report.verdict == CREATIVE:
-        user_ast = parse_expression(config.user_b) if config.user_b else None
-        creator = build_creator(family, report, user_ast, scan)
-        curve = sample_envelope(family, creator, n, scan)
-        # verification differentiates by finite differences; refine the grid so
-        # the h^2 truncation error sits inside the tangency band: four times
-        # the analysis grid, and never coarser than at the default grid, since
-        # a failed verification makes the verdict inconclusive
-        fine_n = 4 * (max(n, DEFAULT_GRID_N) - 1) + 1
-        try:
-            fine = sample_envelope(family, creator, fine_n)
-        except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed
-            report = mark_unverified(report, f"envelope verification failed at n = {fine_n}: {err}")
-            return Analysis(family, scan, singulars, report, uniqueness, None, None, None, disc, None)
-        check = verify_envelope(fine, family)
-        verification = {
-            "n": len(fine.ts),
-            "max_membership_residual": check.max_membership_residual,
-            "max_tangency_residual": check.max_tangency_residual,
-            "pass": check.passed,
-        }
-        if check.passed:
-            cmp_report = compare_methods(family, creator, n, disc, curve)
-            comparison = {
-                "widespread_ok": cmp_report.widespread_ok,
-                "failure_ts": list(cmp_report.failure_ts),
-                "narrative": cmp_report.narrative,
-            }
-        else:
-            # the document keeps the envelope and its failed check as evidence
-            report = mark_unverified(report, f"envelope verification failed at "
-                                             f"n = {fine_n}: {check.failure}")
-    return Analysis(family, scan, singulars, report, uniqueness, creator,
-                    curve, verification, disc, comparison)
+    return getattr(family_module, f"build_family_{config.mode}")(*asts, config.domain)
 
 
 def _singular_entry(p: SingularPoint) -> dict:
@@ -538,7 +449,7 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
 
 
 def run_analyze(config: RunConfig) -> dict:
-    return build_document(config, run_pipeline(config))
+    return build_document(config, analyze(_build_family(config), config.grid_n, config.user_b))
 
 
 _ENVELOPE_COLUMNS = ("t", "x", "y", "b", "theta_prime", "a_prime")
@@ -622,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        result = run_pipeline(config)
+        result = analyze(_build_family(config), config.grid_n, config.user_b)
         if config.command == "analyze":
             _write(config, to_json(build_document(config, result)) + "\n")
             return _verdict_code(result.creativity.verdict)

@@ -101,14 +101,6 @@ def _classify(ts: np.ndarray, c: np.ndarray, s: np.ndarray, a: np.ndarray, tp: n
     return DiscriminantSet(ts, kind, xs, ys, polluted)
 
 
-def discriminant_at(family: LineFamily, t: float, grid_n: int = 1001) -> SliceSolution:
-    """Classify the t-slice of the discriminant set."""
-    family.require_in_domain(t)
-    scan = scan_grid(family, grid_n)
-    ts = np.array([float(t)])
-    return _classify(ts, *first_order(family, ts), scan.scale_theta, scan.scale_a).slices[0]
-
-
 def _off_grid(grid: np.ndarray, singulars: tuple[SingularPoint, ...]) -> np.ndarray:
     """The refined singular parameters, sorted, that the slices add to the
     grid: a singular parameter within 1e-12 (1 + |t|) of a grid point is

@@ -120,16 +120,18 @@ def envelope_points(family: LineFamily, creator: Creator, ts: np.ndarray,
             c, s, a, tp, ap = first_order(family, ts)
         else:
             c, s, a = (j.value for j in family.coeff_jets(ts, 0))
-        if canonical:
-            b = creator.on_grid(ts, tp, ap)
-        elif isinstance(creator, CreatorFunction):
-            b = creator(ts)
-        else:
-            b = np.fromiter(map(creator, ts.tolist()), float, count=ts.size)
     except ValueError:
         for t in ts.tolist():
             envelope_point(family, creator, t)  # raises the error of the first failing parameter
         raise
+    # every parameter has its jets, so the creator's own error, which names
+    # its first failing parameter, is the one a loop over them would raise
+    if canonical:
+        b = creator.on_grid(ts, tp, ap)
+    elif isinstance(creator, CreatorFunction):
+        b = creator(ts)
+    else:
+        b = np.fromiter(map(creator, ts.tolist()), float, count=ts.size)
     points = np.column_stack((a * c - b * s, a * s + b * c))
     return points, np.column_stack((c, s)), a, b
 

@@ -351,10 +351,7 @@ class JetProgram:
     def __init__(self, exprs: tuple[ExpressionAst, ...]):
         self._code: list = []  # (step, node whose domain it checks or None, argument slots)
         self._slots: dict = {}  # structural key -> slot
-        self._roots, self._ends = [], []  # per expression: its slot, the code length after it
-        for expr in exprs:
-            self._roots.append(self._visit(expr))
-            self._ends.append(len(self._code))
+        self._roots = [self._visit(expr) for expr in exprs]  # the slot of each expression
         last = {slot: i for i, (_, _, args) in enumerate(self._code) for slot in args}
         self._code = [(step, node, {x for x in args if last[x] == i and x not in self._roots})
                       for i, (step, node, args) in enumerate(self._code)]  # slots dead after i
@@ -401,11 +398,10 @@ class JetProgram:
         sc = self._emit(("sincos", x), lambda regs, t, k: jets.sincos_series(regs[x]), None, (x,))
         return self._emit((node.func, x), lambda regs, t, k: f(regs[x], regs[sc]), node, (x, sc))
 
-    def run(self, t, order: int, stop: int | None = None) -> tuple[Jet, ...]:
-        """One pass at ``t``: the jets of the expressions, or of the first
-        expressions up to code length ``stop``, which only checks them."""
+    def run(self, t, order: int) -> tuple[Jet, ...]:
+        """One pass at ``t``: the jets of the expressions."""
         regs: list = [None] * len(self._code)
-        for i, (step, node, dead) in enumerate(self._code[:stop]):
+        for i, (step, node, dead) in enumerate(self._code):
             if node is None:
                 regs[i] = step(regs, t, order)
             else:
@@ -424,7 +420,7 @@ def evaluate_jet(expr: ExpressionAst | JetProgram, t, order: int) -> Jet | tuple
     ``t`` is a float, or a 1-d array of parameters for one jet over the whole
     grid.  Either way a domain error names the first failing parameter.  For
     a ``JetProgram`` of several expressions, one pass gives the tuple of their
-    jets, and an error is the one that evaluating them in turn would raise.
+    jets, and an error is the first the program meets at that parameter.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
@@ -437,9 +433,8 @@ def evaluate_jet(expr: ExpressionAst | JetProgram, t, order: int) -> Jet | tuple
             with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
                 result = program.run(t, order)
         except ExpressionDomainError:
-            for end in program._ends:  # the first failing expression at its first failing t
-                for u in t.tolist():
-                    program.run(u, order, end)
+            for u in t.tolist():
+                program.run(u, order)  # raises the error of the first failing parameter
             raise
     return result if program is expr else result[0]
 

@@ -1,0 +1,40 @@
+"""The creator at one parameter on plain floats, as envlines evaluated it
+before ``CreatorFunction.on_grid`` decided every parameter by array masks.
+The array code must give exactly the same bits, and the same errors."""
+
+from envlines.analysis import EPS_SING, UndefinedCreatorError, _first_derivatives
+
+
+def creator_reference(creator, t: float) -> float:
+    """b(t) for a canonical ``CreatorFunction``, one parameter at a time."""
+    for lo, hi, fill in creator.flat_intervals:
+        if lo - 1e-12 <= t <= hi + 1e-12:
+            return fill
+    nearest = None
+    for t0, b_limit, radius in creator.resolved:
+        d = abs(t - t0)
+        if d <= radius and (nearest is None or d < nearest[0]):
+            nearest = (d, b_limit, radius)
+    tp, ap = _first_derivatives(creator.family, t)
+    band = EPS_SING * creator.scale_theta
+    if nearest is not None:
+        d, b_limit, radius = nearest
+        if abs(tp) <= band:
+            return b_limit
+        lam = d / radius
+        return lam * (ap / tp) + (1.0 - lam) * b_limit
+    if abs(tp) > band:
+        return ap / tp
+    # theta' is banded here but t missed every recorded zone: extend the
+    # nearest fill across one cell before declaring the creator undefined
+    if creator.flat_intervals:
+        lo, hi, fill = min(creator.flat_intervals,
+                           key=lambda iv: max(iv[0] - t, t - iv[1], 0.0))
+        family = creator.family
+        cell = (family.domain[1] - family.domain[0]) / (creator.grid_n - 1)
+        if max(lo - t, t - hi, 0.0) <= cell:
+            return fill
+    bad = t
+    if creator.unresolved_ts:
+        bad = min(creator.unresolved_ts, key=lambda t0: abs(t - t0))
+    raise UndefinedCreatorError(float(bad))

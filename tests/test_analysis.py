@@ -18,12 +18,12 @@ from envlines import (
     build_creator,
     build_family_general,
     build_family_normalized,
-    creator_at,
+    analyze,
     envelope_point,
     find_gauss_singular_points,
     parse_expression,
 )
-from envlines.analysis import parameter_grid, star_residual
+from envlines.analysis import _assemble_canonical, parameter_grid, scan_grid, star_residual
 from conftest import sine_b_reference
 from exprgen import gentle_expression
 
@@ -68,19 +68,22 @@ class TestFindSingularPoints:
 
 
 class TestCreatorAt:
+    """The run's creator answers a point query with the run's singular points."""
+
     def test_sine_tangent_regular_value(self, sine_tangent):
-        singulars = find_gauss_singular_points(sine_tangent, 1001)
-        b = creator_at(sine_tangent, math.pi / 2, singulars)
+        b = analyze(sine_tangent, 1001).creator(math.pi / 2)
         assert b == pytest.approx(-math.pi / 2, abs=1e-9)
 
     def test_sine_tangent_at_singular_parameter(self, sine_tangent):
-        singulars = find_gauss_singular_points(sine_tangent, 1001)
-        assert abs(creator_at(sine_tangent, 0.0, singulars)) <= 1e-9
+        assert abs(analyze(sine_tangent, 1001).creator(0.0)) <= 1e-9
 
     def test_evolute_undefined_at_singular_parameter(self, sine_evolute):
+        # not creative, so no run has a creator: assemble one from the points
         singulars = find_gauss_singular_points(sine_evolute, 1001)
+        creator = _assemble_canonical(sine_evolute, 1001, scan_grid(sine_evolute, 1001),
+                                      singulars, [])
         with pytest.raises(UndefinedCreatorError) as err:
-            creator_at(sine_evolute, math.pi, singulars)
+            creator(math.pi)
         assert abs(err.value.t - math.pi) <= 1e-9
 
 

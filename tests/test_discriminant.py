@@ -14,8 +14,8 @@ from envlines import (
     build_creator,
     build_family_general,
     build_family_normalized,
+    analyze,
     compare_methods,
-    discriminant_at,
     find_gauss_singular_points,
     parse_expression,
     sample_discriminant,
@@ -33,6 +33,10 @@ KPI = [k * math.pi for k in range(-3, 4)]
 
 def line_residual(line, x, y):
     return abs(x * line.nu[0] + y * line.nu[1] - line.offset)
+
+
+def discriminant_at(family, t):
+    return analyze(family, 1001).slice_at(t)
 
 
 class TestDiscriminantAt:

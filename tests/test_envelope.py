@@ -112,11 +112,13 @@ class TestVerifyEnvelope:
             verify_envelope(curve, sine_tangent)
 
     def test_undefined_creator_propagates_offending_parameter(self, parallel_shift):
-        from envlines import UndefinedCreatorError, creator_at, find_gauss_singular_points
+        from envlines import UndefinedCreatorError, find_gauss_singular_points
+        from envlines.analysis import _assemble_canonical, scan_grid
         singulars = find_gauss_singular_points(parallel_shift, 1001)
+        creator = _assemble_canonical(parallel_shift, 1001, scan_grid(parallel_shift, 1001),
+                                      singulars, [])
         with pytest.raises(UndefinedCreatorError) as err:
-            sample_envelope(parallel_shift,
-                            lambda t: creator_at(parallel_shift, t, singulars), 5)
+            sample_envelope(parallel_shift, lambda t: creator(t), 5)
         assert -1.0 <= err.value.t <= 1.0
 
     def test_wrong_creator_breaks_tangency(self, rotating_pencil):

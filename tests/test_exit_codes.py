@@ -5,9 +5,13 @@ non-positive values, huge constants, deep nesting, syntax errors)."""
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -143,3 +147,22 @@ def test_creator_undefined_on_the_verification_grid_is_inconclusive(capsys):
     assert doc["creator"] is None and doc["envelope"] is None and doc["comparison"] is None
     assert main(["envelope", *argv]) == 4
     assert capsys.readouterr().err == "error: family is inconclusive; no envelope to export\n"
+
+
+@pytest.mark.parametrize("theta, domain", [
+    # one ulp exceeds the ternary search's stopping width (1e-13) from |t| = 512
+    ("(t-600.4)^3", "600:601"),
+    ("(t-10000.4)^3", "10000:10001"),
+    # and the bisection's (1e-12) from |t| = 8192
+    ("(t-10000.3)*(t-10000.7)", "10000:10001"),
+])
+def test_refinement_ends_where_one_ulp_exceeds_its_width(theta, domain):
+    # a fresh interpreter with a time limit: a refinement that never ends fails
+    # the test instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from envlines.cli import main; sys.exit(main())",
+         "analyze", "--theta", theta, "--a", "t", "--domain", domain],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout)["creativity"]["verdict"] == "not_creative"

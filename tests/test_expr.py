@@ -284,10 +284,14 @@ def _bits(x) -> bytes:
 @settings(max_examples=200, deadline=None)
 def test_program_matches_the_recursive_evaluator(exprs, points, order):
     # the shared program against one recursive evaluation per expression, in
-    # turn: the same jets bit for bit, or the same first domain error
+    # turn: the same jets bit for bit, or the same domain error, that of the
+    # first failing parameter and there of the first failing expression
     program = JetProgram(exprs)
     for t in (np.array(points), points[0]):
         try:
+            for u in np.atleast_1d(t).tolist():
+                for expr in exprs:
+                    jet_reference.evaluate_jet(expr, u, order)
             expected = [jet_reference.evaluate_jet(expr, t, order) for expr in exprs]
         except ExpressionDomainError as err:
             with pytest.raises(ExpressionDomainError) as got:

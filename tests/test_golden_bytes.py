@@ -41,6 +41,19 @@ INVOCATIONS = {
                                "--C", "log(t+0.5)", "--domain", "-1:1"],
     "probe-log-bracket": ["analyze", "--theta", "log((t^2 - 1e-8)*((t-0.5)^2 - 1e-8))",
                           "--a", "t", "--domain", "-1:1.0013"],
+    "sine-tangent-envelope-json": ["envelope", *SINE_TANGENT, "--grid-n", "257",
+                                   "--format", "json"],
+    "sine-tangent-discriminant-json": ["discriminant", *SINE_TANGENT, "--grid-n", "257",
+                                       "--format", "json"],
+    "example-2-user-b": ["analyze", "--example", "2", "--user-b", "t"],
+    # not creative, so the malformed --user-b is never parsed: exit 3, not 5
+    "example-6-unparsed-user-b": ["analyze", "--example", "6", "--user-b", "(("],
+    # the creator is undefined on the verification grid: exit 4
+    "probe-steep-cubic": ["analyze", "--theta", "1e10*t^3", "--a", "t", "--grid-n", "16"],
+    "probe-hidden-stall": ["analyze", "--theta", "t - 0.0001*atan((t - 0.00013)/0.0001)",
+                           "--a", "t", "--domain", "-1:1"],
+    "sine-evolute-compare": ["compare", *SINE_EVOLUTE],
+    "sine-evolute-plot": ["plot", *SINE_EVOLUTE],
 }
 
 DIGESTS = {
@@ -74,6 +87,14 @@ DIGESTS = {
     "probe-constant-exponent": "fd7536043fdcee4c8ac4f027480d5524f96bfc1d4a949e96f8ac37c95ff9fbb2",
     "probe-general-sqrt-log": "310f4d28945134c0bc27945571b03fbf8af43a8690b1f9af030b93bb9d79e9dd",
     "probe-log-bracket": "d8e09980ddf30ce8eafa01891637dd9e07011610b4575c16cf7c475f84f24692",
+    "sine-tangent-envelope-json": "e63757c0d0b1e7bbad95c1c39a1ec56bd31c9b5b4f2ef14b55aec09b550411f2",
+    "sine-tangent-discriminant-json": "ee6c4b8c5bc2d0bb1268c70efa6eeadec179ae3138bd9975f4317b9b69502fce",
+    "example-2-user-b": "27a0a9ea8220f17ab0cbb9b6f84ef7c1afbf19dd1822025fd83623516d8edd10",
+    "example-6-unparsed-user-b": "86251fae58e670eb3c889968ecd58c991f78a41cfb1c35fc69fd62194597d8fa",
+    "probe-steep-cubic": "339269bde6c0a2761c0ab1ccc18aeef0d84afefc6c8b894b5e89f123f87369d3",
+    "probe-hidden-stall": "bb5fb41398fe1ee6272352df4055db34d0bc12b31bd9f8bfdea4265acd0c2f03",
+    "sine-evolute-compare": "e596ca678b1bf1a31f05fb113e1a5b632c8323752408d883355838e05cff1f94",
+    "sine-evolute-plot": "e8ed1a97131e9ecfc43f3295c9b93ff9aa1acf24f3e666af4823c78b18adab66",
 }
 
 

@@ -78,6 +78,27 @@ def test_derivative_scales_once_per_run(passes, argv):
     assert [size for size, order in passes if order == 4] == [129 + len(points)]
 
 
+@pytest.mark.parametrize("example, sequence", [
+    # the grid, the look-ahead passes of 6 bisections and 1 ternary search,
+    # theta' at the minimizer and the 6 roots, the classification
+    (1, [(1001, 1)] + [(120, 1)] * 9 + [(126, 1)] * 5 + [(7, 1), (136, 4)]),
+    # one ternary search; theta' at its minimizer serves the band test and the merge
+    (5, [(1001, 1)] + [(126, 1)] * 11 + [(1, 1), (130, 4)]),
+])
+def test_singular_point_search_pass_sequence(passes, example, sequence):
+    family = _build_family(parse_cli(["analyze", "--example", str(example)]))
+    passes.clear()
+    analysis.find_gauss_singular_points(family, 1001)
+    assert passes == sequence
+
+
+def test_undefined_creator_is_named_without_a_replay(passes):
+    # the creator names its first undefined parameter of the 4001-point
+    # verification grid itself: no loop over the 2000 parameters before it
+    assert _run(["analyze", "--theta", "1e10*t^3", "--a", "t", "--grid-n", "16"]) == 4
+    assert None not in [size for size, _ in passes]
+
+
 def test_wide_plot_makes_no_scalar_jet_call(passes):
     # the 61 family lines and the 637 singular markers come from one pass
     assert _run(["plot", *SINE_EVOLUTE_WIDE[1:]]) == 0

@@ -50,19 +50,19 @@ def _f_lo(family, lo):
 def test_lockstep_bisection_matches_reference(case):
     family, (lo, hi) = case
     f_lo = _f_lo(family, lo)
-    roots, t_min, value = _refine(family, lo, hi, f_lo, _NONE, _NONE)
+    roots, t_min = _refine(family, lo, hi, f_lo, _NONE, _NONE)
     expected = [bisect_root(family, *args) for args in zip(lo.tolist(), hi.tolist(), f_lo.tolist())]
     assert roots.tolist() == expected
-    assert t_min.size == value.size == 0
+    assert t_min.size == 0
 
 
 @given(_brackets())
 @settings(max_examples=60, deadline=None)
 def test_lockstep_ternary_search_matches_reference(case):
     family, (lo, hi) = case
-    roots, t_min, value = _refine(family, _NONE, _NONE, _NONE, lo, hi)
+    roots, t_min = _refine(family, _NONE, _NONE, _NONE, lo, hi)
     expected = [minimize_abs(family, *args) for args in zip(lo.tolist(), hi.tolist())]
-    assert list(zip(t_min.tolist(), value.tolist())) == expected
+    assert t_min.tolist() == expected
     assert roots.size == 0
 
 
@@ -75,11 +75,11 @@ def test_mixed_rows_match_reference(data):
     lo, hi = data.draw(_intervals(family))
     dip_lo, dip_hi = data.draw(_intervals(family))
     f_lo = _f_lo(family, lo)
-    roots, t_min, value = _refine(family, lo, hi, f_lo, dip_lo, dip_hi)
+    roots, t_min = _refine(family, lo, hi, f_lo, dip_lo, dip_hi)
     assert roots.tolist() == [bisect_root(family, *args)
                               for args in zip(lo.tolist(), hi.tolist(), f_lo.tolist())]
-    assert list(zip(t_min.tolist(), value.tolist())) == [
-        minimize_abs(family, *args) for args in zip(dip_lo.tolist(), dip_hi.tolist())]
+    assert t_min.tolist() == [minimize_abs(family, *args)
+                              for args in zip(dip_lo.tolist(), dip_hi.tolist())]
 
 
 @given(st.data())
@@ -91,11 +91,11 @@ def test_more_rows_than_a_deep_pass_holds_match_reference(data):
     lo, hi = data.draw(_intervals(family, LOOKAHEAD_POINTS // 2, LOOKAHEAD_POINTS // 3 + 1))
     dip_lo, dip_hi = data.draw(_intervals(family))
     f_lo = _f_lo(family, lo)
-    roots, t_min, value = _refine(family, lo, hi, f_lo, dip_lo, dip_hi)
+    roots, t_min = _refine(family, lo, hi, f_lo, dip_lo, dip_hi)
     assert roots.tolist() == [bisect_root(family, *args)
                               for args in zip(lo.tolist(), hi.tolist(), f_lo.tolist())]
-    assert list(zip(t_min.tolist(), value.tolist())) == [
-        minimize_abs(family, *args) for args in zip(dip_lo.tolist(), dip_hi.tolist())]
+    assert t_min.tolist() == [minimize_abs(family, *args)
+                              for args in zip(dip_lo.tolist(), dip_hi.tolist())]
 
 
 def test_grid_brackets_match_reference(sine_evolute):
