@@ -11,18 +11,21 @@ under rescaling the input family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
 from .family import DegenerateFamilyError, LineFamily
+from .jets import _div
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
 EPS_CRE = 1e-7        # |a^(j)| band for "derivative vanishes"
 EPS_STAR = 1e-6       # normalized residual bound for a' = b theta'
 QUOTIENT_COND = 1e-6  # |theta'| level at which the quotient a'/theta' is trusted
 LHOPITAL_DEPTH = 4
+SERIES_ORDER = 6      # jet order of the classification pass, which gives b's series
 ROOT_WIDTH = 1e-12
 LOOKAHEAD_POINTS = 128  # refinement pass size: 1 parameter costs about what 100 do
 MIN_GRID_N = 16
@@ -63,7 +66,9 @@ class SingularPoint:
     (None when theta' is flat through order 4).  ``b_limit`` is the
     L'Hopital value a^(j)/theta^(j) when the point is resolvable.
     ``a_flat`` is set by the L'Hopital classification when a' vanishes
-    through order 4 there as well.
+    through order 4 there as well.  A resolvable point carries b's Taylor
+    coefficients b^(i)(t0)/i! (``series``, from ``b_limit`` on) and the
+    ``radius`` within which the creator evaluates them.
     """
 
     t: float
@@ -72,6 +77,8 @@ class SingularPoint:
     resolvable: bool
     b_limit: float | None
     a_flat: bool = False
+    series: tuple[float, ...] = ()
+    radius: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -254,30 +261,45 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
 _SCALE_GRID_N = 129
 
 
-def _classify_points(family: LineFamily, ts: np.ndarray) -> tuple[SingularPoint, ...]:
-    """L'Hopital classification of every singular parameter in ts at once.
+def _classify_points(family: LineFamily, ts: np.ndarray,
+                     scale_theta: float) -> tuple[SingularPoint, ...]:
+    """L'Hopital classification of every singular parameter in ts at once,
+    with b's series and its radius at each resolvable one.
 
-    The zero tests are banded by the maxima of |theta^(j)| and |a^(j)|, j =
-    1..4, on a coarse grid, the way the first-order scales band the
-    singularity test; one order-4 pass evaluates the coarse grid and ts.
-    """
+    The zero tests read theta^(j) and a^(j), j = 1..4, banded by their
+    maxima on a coarse grid as the first-order scales band the singularity
+    test; one order-6 pass evaluates the coarse grid and ts for both."""
     grid = parameter_grid(family.domain, _SCALE_GRID_N)
-    tpj, apj = family.derivative_jets(np.concatenate((grid, ts)), LHOPITAL_DEPTH)
-    theta_derivs = np.array(tpj.coeffs)  # rows j = 1..4: theta^(j), a^(j)
+    tpj, apj = family.derivative_jets(np.concatenate((grid, ts)), SERIES_ORDER)
+    theta_derivs = np.array(tpj.coeffs)  # rows m = 0..5: theta^(m+1), a^(m+1)
     a_derivs = np.array(apj.coeffs)
-    scales = [np.max(np.abs(derivs[:, :_SCALE_GRID_N]), axis=1, keepdims=True)
+    scales = [np.max(np.abs(derivs[:LHOPITAL_DEPTH, :_SCALE_GRID_N]), axis=1, keepdims=True)
               for derivs in (theta_derivs, a_derivs)]
     th_scales, a_scales = (np.where(v > 0.0, v, 1.0) for v in scales)
     theta_derivs, a_derivs = theta_derivs[:, _SCALE_GRID_N:], a_derivs[:, _SCALE_GRID_N:]
-    nonzero = np.abs(theta_derivs) > EPS_SING * th_scales
-    a_vanish = np.abs(a_derivs) <= EPS_CRE * a_scales
+    nonzero = np.abs(theta_derivs[:LHOPITAL_DEPTH]) > EPS_SING * th_scales
+    a_vanish = np.abs(a_derivs[:LHOPITAL_DEPTH]) <= EPS_CRE * a_scales
+    half_gap = 0.5 * np.diff(ts, prepend=-np.inf, append=np.inf)  # to the neighbours
+    cap = 0.25 * (family.domain[1] - family.domain[0])
     points = []
     for i, t0 in enumerate(ts.tolist()):
         order = int(np.argmax(nonzero[:, i])) + 1 if nonzero[:, i].any() else None
         resolvable = order is not None and bool(a_vanish[:order - 1, i].all())
-        b_limit = float(a_derivs[order - 1, i] / theta_derivs[order - 1, i]) if resolvable else None
-        points.append(SingularPoint(t0, order, float(a_derivs[0, i]), resolvable, b_limit,
-                                    bool(a_vanish[:, i].all())))
+        series, radius = (), 0.0
+        if resolvable:
+            # theta' and a' share the factor (t - t0)^k: cancel it and divide
+            # the series, scaling term m by k!/m! (the leading one by 1)
+            k = order - 1
+            scale = [math.factorial(k) / math.factorial(m) for m in range(k, SERIES_ORDER)]
+            th, a = ([v * f for v, f in zip(d[k:, i].tolist(), scale)]
+                     for d in (theta_derivs, a_derivs))
+            series = tuple(_div(a, th))
+            # |theta'| ~ |theta^(k+1)| r^k / k! reaches the quotient band at r
+            level = math.factorial(k) * QUOTIENT_COND * scale_theta / abs(th[0])
+            radius = min(level ** (1.0 / k), cap, *half_gap[i:i + 2].tolist()) if k else 0.0
+        points.append(SingularPoint(t0, order, float(a_derivs[0, i]), resolvable,
+                                    series[0] if resolvable else None,
+                                    bool(a_vanish[:, i].all()), series, radius))
     return tuple(points)
 
 
@@ -319,7 +341,7 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
         run_hi.append(ts[min(best + 1, grid_n - 1)])
     trigger = _TANGENTIAL_TRIGGER * scan.scale_theta
     inner = w[1:-1]
-    dips = (~mask[1:-1] & ~(inner > trigger) & (inner < w[:-2]) & (inner < w[2:])
+    dips = (~mask[1:-1] & ~(inner > trigger) & (inner <= w[:-2]) & (inner < w[2:])
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
     i = np.flatnonzero(dips) + 1
     found, t_min = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
@@ -343,7 +365,7 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
             continue
         accepted.append(k)
 
-    return _classify_points(family, np.array(candidates)[accepted])
+    return _classify_points(family, np.array(candidates)[accepted], scan.scale_theta)
 
 
 # -- uniqueness ----------------------------------------------------------------
@@ -372,19 +394,19 @@ def assess_uniqueness(family: LineFamily, grid_n: int,
 
 class CreatorFunction:
     """Evaluation recipe for b(t): the plain quotient a'/theta' away from
-    singular parameters, L'Hopital limits (linearly blended into the
-    quotient) near resolved ones, constant fills on flat intervals, or a
-    validated user expression overriding everything."""
+    singular parameters, b's Taylor series near resolved ones, constant
+    fills on flat intervals, or a validated user expression overriding
+    everything."""
 
     def __init__(self, family: LineFamily, grid_n: int, scale_theta: float,
-                 resolved: tuple[tuple[float, float, float], ...],
+                 resolved: tuple[SingularPoint, ...],
                  unresolved_ts: tuple[float, ...],
                  flat_intervals: tuple[tuple[float, float, float], ...],
                  user_expr: ExpressionAst | None = None):
         self.family = family
         self.grid_n = grid_n
         self.scale_theta = scale_theta
-        self.resolved = resolved            # (t0, b_limit, blend radius)
+        self.resolved = resolved            # sorted by t, each with its series and radius
         self.unresolved_ts = unresolved_ts
         self.flat_intervals = flat_intervals  # (lo, hi, fill value)
         self.user_expr = user_expr
@@ -395,10 +417,13 @@ class CreatorFunction:
         return "user" if self.user_expr is not None else "canonical"
 
     def __call__(self, t):
-        """b at t, a float or a 1-d array of parameters."""
+        """b at t, a float or a 1-d array of parameters in the family's domain."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        lo, hi = self.family.domain
+        for u in ts[(ts < lo) | (ts > hi)].tolist():
+            self.family.require_in_domain(u)  # the first past the slack raises
         if self.user_expr is not None:
             return evaluate_jet(self._user_program, t, 0)[0].value
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
         b = self.on_grid(ts, *_first_derivatives(self.family, ts))
         return b if isinstance(t, np.ndarray) else float(b[0])
 
@@ -406,11 +431,11 @@ class CreatorFunction:
         """b at the parameters ts, where theta' and a' are tp and ap.
 
         Each parameter takes the first that applies of: the fill of the
-        first flat interval holding it; in the blend zone of the nearest
-        resolved point, b_limit where theta' is banded and the blend toward
-        it elsewhere; the plain quotient where theta' is outside the band;
-        the fill of the nearest flat interval within one cell (flat bounds
-        are grid-resolution).  The first parameter left over raises."""
+        first flat interval holding it; within the radius of the nearest
+        resolved point, b's series there; the plain quotient where theta' is
+        outside the band; the fill of the nearest flat interval within one
+        cell (flat bounds are grid-resolution).  The first parameter left
+        over raises."""
         if self.user_expr is not None:
             return self(ts)
         b = np.empty(ts.shape)
@@ -419,23 +444,24 @@ class CreatorFunction:
             inside = todo & (lo - 1e-12 <= ts) & (ts <= hi + 1e-12)
             b[inside] = fill
             todo &= ~inside
-        banded = np.abs(tp) <= EPS_SING * self.scale_theta
         with np.errstate(all="ignore"):  # an infinite b fails the star-residual check
             if self.resolved:
-                t0, b_limit, radius = (np.array(column) for column in zip(*self.resolved))
+                t0, radius, series = (np.array(column) for column in zip(*(
+                    (p.t, p.radius, p.series + (0.0,) * (SERIES_ORDER - len(p.series)))
+                    for p in self.resolved)))  # series rows padded with zeros
                 j = np.searchsorted(t0, ts)
                 near = (np.maximum(j - 1, 0), np.minimum(j, t0.size - 1))  # centres either side
                 d = [np.abs(ts - t0[k]) for k in near]
                 inside = [dk <= radius[k] for dk, k in zip(d, near)]
                 right = inside[1] & ~(inside[0] & (d[0] <= d[1]))  # the left centre wins a tie
-                k, d = np.where(right, near[1], near[0]), np.where(right, d[1], d[0])
                 zone = todo & (inside[0] | inside[1])
-                b[zone & banded] = b_limit[k[zone & banded]]
-                blend = zone & ~banded
-                lam = d[blend] / radius[k[blend]]
-                b[blend] = lam * (ap[blend] / tp[blend]) + (1.0 - lam) * b_limit[k[blend]]
+                k = np.where(right, near[1], near[0])[zone]
+                dt, value = ts[zone] - t0[k], np.zeros(k.size)
+                for coeff in series[k].T[::-1]:  # Horner, from the highest term
+                    value = value * dt + coeff
+                b[zone] = value
                 todo &= ~zone
-            plain = todo & ~banded
+            plain = todo & (np.abs(tp) > EPS_SING * self.scale_theta)
             b[plain] = ap[plain] / tp[plain]
             todo &= ~plain
         if todo.any() and self.flat_intervals:
@@ -459,28 +485,6 @@ class CreatorFunction:
                 f"{len(self.flat_intervals)} flat)")
 
 
-def _blend_radius(family: LineFamily, t0: float, others: list[float],
-                  scale_theta: float, cell: float) -> float:
-    """Blend radius around a resolved singular point, grown until the raw
-    quotient at the edge is conditioned (|theta'| above the quotient band)."""
-    lo, hi = family.domain
-    cap = 0.25 * (hi - lo)
-    for other in others:
-        if other != t0:
-            cap = min(cap, 0.5 * abs(other - t0))
-    r = min(1e-3 * cell, cap)
-    threshold = QUOTIENT_COND * scale_theta
-    while r < cap:
-        stable = True
-        for probe in (t0 - r, t0 + r):
-            if lo <= probe <= hi and abs(_first_derivatives(family, probe)[0]) <= threshold:
-                stable = False
-        if stable:
-            break
-        r = min(2.0 * r, cap)
-    return r
-
-
 def _flat_fills(scan: GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
     """Constant fill per flat run, extended from the nearest non-flat boundary."""
     fills: list[tuple[float, float, float]] = []
@@ -499,15 +503,10 @@ def _flat_fills(scan: GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[
 def _assemble_canonical(family: LineFamily, grid_n: int, scan: GridScan,
                         isolated: tuple[SingularPoint, ...],
                         flat_runs: list[tuple[int, int]]) -> CreatorFunction:
-    flats = _flat_fills(scan, flat_runs)
-    all_ts = [p.t for p in isolated]
-    resolved = tuple(
-        (p.t, p.b_limit, _blend_radius(family, p.t, all_ts, scan.scale_theta, scan.cell))
-        for p in isolated if p.resolvable
-    )
-    unresolved = tuple(p.t for p in isolated if not p.resolvable)
     return CreatorFunction(family, grid_n, scan.scale_theta,
-                           resolved, unresolved, tuple(flats))
+                           tuple(p for p in isolated if p.resolvable),
+                           tuple(p.t for p in isolated if not p.resolvable),
+                           tuple(_flat_fills(scan, flat_runs)))
 
 
 def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,

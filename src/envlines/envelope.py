@@ -111,21 +111,15 @@ def envelope_points(family: LineFamily, creator: Creator, ts: np.ndarray,
     """Points and normals (n x 2), offsets and creator values at the
     parameters ts, read from ``scan`` (the scan at ts) or from one pass of
     the jets: order 1 for a canonical creator, which reads theta' and a'
-    from it, order 0 otherwise.  An error names the first failing parameter."""
+    from it, order 0 otherwise.  An error of the jets, then of the creator,
+    names its first failing parameter."""
     canonical = isinstance(creator, CreatorFunction) and creator.user_expr is None
-    try:
-        if scan is not None:
-            c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
-        elif canonical:
-            c, s, a, tp, ap = first_order(family, ts)
-        else:
-            c, s, a = (j.value for j in family.coeff_jets(ts, 0))
-    except ValueError:
-        for t in ts.tolist():
-            envelope_point(family, creator, t)  # raises the error of the first failing parameter
-        raise
-    # every parameter has its jets, so the creator's own error, which names
-    # its first failing parameter, is the one a loop over them would raise
+    if scan is not None:
+        c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
+    elif canonical:
+        c, s, a, tp, ap = first_order(family, ts)
+    else:
+        c, s, a = (j.value for j in family.coeff_jets(ts, 0))
     if canonical:
         b = creator.on_grid(ts, tp, ap)
     elif isinstance(creator, CreatorFunction):

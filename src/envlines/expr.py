@@ -425,18 +425,32 @@ def evaluate_jet(expr: ExpressionAst | JetProgram, t, order: int) -> Jet | tuple
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [0, {MAX_ORDER}], got {order}")
     program = expr if isinstance(expr, JetProgram) else JetProgram((expr,))
-    if not isinstance(t, np.ndarray):
-        result = program.run(float(t), order)
-    else:
-        t = t.astype(float, copy=False)
-        try:
-            with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
-                result = program.run(t, order)
-        except ExpressionDomainError:
-            for u in t.tolist():
-                program.run(u, order)  # raises the error of the first failing parameter
-            raise
+    result = named_pass(lambda u: program.run(u, order), t, ExpressionDomainError)
     return result if program is expr else result[0]
+
+
+def named_pass(run, t, errors):
+    """run(t), t a float or an array of parameters; an error is the one run
+    meets at the first failing parameter.  An array pass fails exactly when
+    one of its parameters does: bisecting t finds that one in O(log n) passes."""
+    if not isinstance(t, np.ndarray):
+        return run(float(t))
+    t = t.astype(float, copy=False)
+    with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
+        try:
+            return run(t)
+        except errors:
+            lo, hi = 0, t.size  # run passes on t[:lo] and fails on t[:hi]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    run(t[lo:mid])
+                except errors:
+                    hi = mid
+                else:
+                    lo = mid
+            run(float(t[lo]))
+            raise
 
 
 def evaluate(expr: ExpressionAst, t):

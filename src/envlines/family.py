@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
+from .expr import (ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet,
+                   named_pass, unparse)
 from .jets import Jet, JetDomainError, any_point, differentiate, truncate
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -106,16 +107,8 @@ class LineFamily:
         """
         if not 0 <= order <= _MAX_COEFF_ORDER:
             raise ValueError(f"order must be in [0, {_MAX_COEFF_ORDER}], got {order}")
-        if not isinstance(t, np.ndarray):
-            return self._coeffs(float(t), order)
-        t = t.astype(float, copy=False)
-        try:
-            with np.errstate(all="ignore"):  # floats overflow silently too
-                return self._coeffs(t, order)
-        except (ExpressionDomainError, DegenerateFamilyError):
-            for u in t.tolist():
-                self._coeffs(u, order)  # raises the error of the first failing parameter
-            raise
+        return named_pass(lambda u: self._coeffs(u, order), t,
+                          (ExpressionDomainError, DegenerateFamilyError))
 
     def _coeffs(self, t, order: int) -> tuple[Jet, Jet, Jet]:
         return self._recipe(t, order, *evaluate_jet(self._program, t, order))

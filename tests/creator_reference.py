@@ -1,6 +1,7 @@
-"""The creator at one parameter on plain floats, as envlines evaluated it
-before ``CreatorFunction.on_grid`` decided every parameter by array masks.
-The array code must give exactly the same bits, and the same errors."""
+"""The creator at one parameter on plain floats: b's series within the
+radius of the nearest resolved point, the quotient a'/theta' elsewhere.  The
+array code of ``CreatorFunction.on_grid`` must give exactly the same bits,
+and the same errors."""
 
 from envlines.analysis import EPS_SING, UndefinedCreatorError, _first_derivatives
 
@@ -11,19 +12,17 @@ def creator_reference(creator, t: float) -> float:
         if lo - 1e-12 <= t <= hi + 1e-12:
             return fill
     nearest = None
-    for t0, b_limit, radius in creator.resolved:
-        d = abs(t - t0)
-        if d <= radius and (nearest is None or d < nearest[0]):
-            nearest = (d, b_limit, radius)
-    tp, ap = _first_derivatives(creator.family, t)
-    band = EPS_SING * creator.scale_theta
+    for point in creator.resolved:
+        d = abs(t - point.t)
+        if d <= point.radius and (nearest is None or d < abs(t - nearest.t)):
+            nearest = point
     if nearest is not None:
-        d, b_limit, radius = nearest
-        if abs(tp) <= band:
-            return b_limit
-        lam = d / radius
-        return lam * (ap / tp) + (1.0 - lam) * b_limit
-    if abs(tp) > band:
+        b = 0.0
+        for coeff in reversed(nearest.series):  # Horner, from the highest term
+            b = b * (t - nearest.t) + coeff
+        return b
+    tp, ap = _first_derivatives(creator.family, t)
+    if abs(tp) > EPS_SING * creator.scale_theta:
         return ap / tp
     # theta' is banded here but t missed every recorded zone: extend the
     # nearest fill across one cell before declaring the creator undefined

@@ -60,6 +60,14 @@ class TestFindSingularPoints:
         assert abs(points[0].t - 0.001) <= 1e-6
         assert points[0].theta_derivative_order == 3
 
+    def test_tangential_root_midway_between_grid_points(self):
+        # 0.721 is the midpoint of the grid cell [0.72, 0.722]: |theta'| ties
+        # at its two ends, and the dip at the right one is still searched
+        family = build_family_normalized(P("(t - 0.721)^3"), P("0"), (-1.0, 1.0))
+        points = find_gauss_singular_points(family, 1001)
+        assert len(points) == 1 and abs(points[0].t - 0.721) <= 1e-6
+        assert analyze(family, 1001).creativity.verdict == CREATIVE
+
     def test_evolute_points_not_resolvable(self, sine_evolute):
         points = find_gauss_singular_points(sine_evolute, 1001)
         assert len(points) == 7

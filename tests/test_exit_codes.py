@@ -166,3 +166,19 @@ def test_refinement_ends_where_one_ulp_exceeds_its_width(theta, domain):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=5)
     assert (proc.returncode, proc.stderr) == (3, "")
     assert json.loads(proc.stdout)["creativity"]["verdict"] == "not_creative"
+
+
+def test_domain_error_on_the_verification_grid_is_named_quickly():
+    # sqrt's argument dips below 0 between two of the 40001 grid points, so
+    # only the 160001-point verification grid meets it; bisecting that pass
+    # names the parameter in O(log n) passes, where a loop over the grid
+    # took about 20 s
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from envlines.cli import main; sys.exit(main())",
+         "analyze", "--theta", "t", "--a", "sqrt((t-0.001025)^2-1e-10)", "--domain", "-1:1",
+         "--grid-n", "40001"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (
+        5, "error: domain error in 'sqrt((t-0.001025)^2.0-1e-10)' at t = 0.0010250000000000536: "
+           "sqrt of negative value -1e-10\n")

@@ -54,12 +54,16 @@ INVOCATIONS = {
                            "--a", "t", "--domain", "-1:1"],
     "sine-evolute-compare": ["compare", *SINE_EVOLUTE],
     "sine-evolute-plot": ["plot", *SINE_EVOLUTE],
+    # a domain error at a parameter of the verification grid alone: exit 5
+    "probe-sqrt-verification-grid": ["analyze", "--theta", "t",
+                                     "--a", "sqrt((t-0.001025)^2-1e-10)", "--domain", "-1:1",
+                                     "--grid-n", "40001"],
 }
 
 DIGESTS = {
     "example-1-grid-16": "4b14979494e977f13703b96f8a190625744460768a9cf09e51f8c284e9e5097e",
-    "example-1-grid-257": "3e6650fdc0fba2c5d383706748b82b2e2456c9d2e8ccd98a36b584b6de9acc07",
-    "example-1-grid-1001": "671a2dadb1b43fb63ef47abdff7b2d385ee0d5d09b14d8bc2d8eeefe12f2c3c8",
+    "example-1-grid-257": "2cb8ccaff12ce504437b77c80f70f665fa40def791567f00d8c28621b1ecfd1f",
+    "example-1-grid-1001": "e1afc8cc655877e68e0c1a8589c1a4908992cd17439b235742108b176fe4b878",
     "example-2-grid-16": "f37ab878a7b26704a55fa6e90af9bb0e1123ce3b2b499a0b28a7fc460a672606",
     "example-2-grid-257": "21acdc61e59984427dfdd5c43c97c3413af27f2acc99f7dff4f2bdbed50191c1",
     "example-2-grid-1001": "3b7d08f4640cdde16452c25a4329e4daf74a137bb2db290721c51d44cca7abc2",
@@ -78,7 +82,7 @@ DIGESTS = {
     "example-7-grid-16": "63f3a5d6ffc02438d5ef66f72408da334a4071c9e8cb6aa3f7d8e599bf8cb9bb",
     "example-7-grid-257": "ff35d52ac65ec2a8bd88de95ebc91383329633ddab1171c409cb8dce5f0ec69a",
     "example-7-grid-1001": "d94f50334ac606ecfdf737df1b62dacf6ec7f3580e83bf832e593015ef4a2ea4",
-    "sine-tangent-envelope-csv": "7a1725ccd27dbea58a260a5bf7671f35c16f7fd99f54f4007b700ed59dc1cb23",
+    "sine-tangent-envelope-csv": "5ddae99859913a7b5223970457a80d0a0d7037546e183edc5ab16af00100d616",
     "sine-tangent-discriminant-csv": "401fd6cd1049222d5d21e5a84a8bd06a001fa6555423d08aff7fa501230fa3b7",
     "sine-tangent-compare": "f596aa4fc9622f0429e2429259fe75c6ebb9d29bd54cc816f1de9e2c48bf4766",
     "sine-tangent-plot": "6f8901941b6de62bae1ee502e76cf95f146167fb7b10ec985d160ea1c29c726f",
@@ -87,7 +91,7 @@ DIGESTS = {
     "probe-constant-exponent": "fd7536043fdcee4c8ac4f027480d5524f96bfc1d4a949e96f8ac37c95ff9fbb2",
     "probe-general-sqrt-log": "310f4d28945134c0bc27945571b03fbf8af43a8690b1f9af030b93bb9d79e9dd",
     "probe-log-bracket": "d8e09980ddf30ce8eafa01891637dd9e07011610b4575c16cf7c475f84f24692",
-    "sine-tangent-envelope-json": "e63757c0d0b1e7bbad95c1c39a1ec56bd31c9b5b4f2ef14b55aec09b550411f2",
+    "sine-tangent-envelope-json": "c161756cdf00bf910ebedbe7645d3736ba1063c57b06d305013c1958c1a07d96",
     "sine-tangent-discriminant-json": "ee6c4b8c5bc2d0bb1268c70efa6eeadec179ae3138bd9975f4317b9b69502fce",
     "example-2-user-b": "27a0a9ea8220f17ab0cbb9b6f84ef7c1afbf19dd1822025fd83623516d8edd10",
     "example-6-unparsed-user-b": "86251fae58e670eb3c889968ecd58c991f78a41cfb1c35fc69fd62194597d8fa",
@@ -95,6 +99,7 @@ DIGESTS = {
     "probe-hidden-stall": "bb5fb41398fe1ee6272352df4055db34d0bc12b31bd9f8bfdea4265acd0c2f03",
     "sine-evolute-compare": "e596ca678b1bf1a31f05fb113e1a5b632c8323752408d883355838e05cff1f94",
     "sine-evolute-plot": "e8ed1a97131e9ecfc43f3295c9b93ff9aa1acf24f3e666af4823c78b18adab66",
+    "probe-sqrt-verification-grid": "7d9a3efb0a2f2fbb06b23170c1e6e91cb5bb9330efcbb6d8bf9ada6af9603298",
 }
 
 

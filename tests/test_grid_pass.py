@@ -70,20 +70,32 @@ def passes(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["analyze", "--example", str(k)] for k in range(1, 8)])
 def test_derivative_scales_once_per_run(passes, argv):
-    # the derivative scales and the L'Hopital classification share one
-    # order-4 pass: the 129-point scale grid, then the singular parameters
+    # after the family's validation pass over 257 points, the derivative
+    # scales, the L'Hopital classification and b's series share one order-6
+    # pass: the 129-point scale grid, then the singular parameters; no
+    # parameter is evaluated on its own
     points = analysis.find_gauss_singular_points(_build_family(parse_cli(argv)), 1001)
     passes.clear()
     _run(argv)
-    assert [size for size, order in passes if order == 4] == [129 + len(points)]
+    assert [size for size, order in passes if order == analysis.SERIES_ORDER] == [
+        257, 129 + len(points)]
+    assert None not in [size for size, _ in passes]
+
+
+def test_wide_creative_run_makes_no_scalar_jet_call(passes):
+    # 637 resolved zones, each with its series and closed-form radius
+    assert _run(["analyze", "--A", "-cos t", "--B", "1", "--C", "t*cos t - sin t",
+                 "--domain", "-1000:1000", "--grid-n", "10001"]) == 4
+    assert None not in [size for size, _ in passes]
+    assert (129 + 637, analysis.SERIES_ORDER) in passes
 
 
 @pytest.mark.parametrize("example, sequence", [
     # the grid, the look-ahead passes of 6 bisections and 1 ternary search,
-    # theta' at the minimizer and the 6 roots, the classification
-    (1, [(1001, 1)] + [(120, 1)] * 9 + [(126, 1)] * 5 + [(7, 1), (136, 4)]),
+    # theta' at the minimizer and the 6 roots, the order-6 classification
+    (1, [(1001, 1)] + [(120, 1)] * 9 + [(126, 1)] * 5 + [(7, 1), (136, 6)]),
     # one ternary search; theta' at its minimizer serves the band test and the merge
-    (5, [(1001, 1)] + [(126, 1)] * 11 + [(1, 1), (130, 4)]),
+    (5, [(1001, 1)] + [(126, 1)] * 11 + [(1, 1), (130, 6)]),
 ])
 def test_singular_point_search_pass_sequence(passes, example, sequence):
     family = _build_family(parse_cli(["analyze", "--example", str(example)]))
