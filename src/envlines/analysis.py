@@ -268,7 +268,8 @@ def _classify_points(family: LineFamily, ts: np.ndarray,
 
     The zero tests read theta^(j) and a^(j), j = 1..4, banded by their
     maxima on a coarse grid as the first-order scales band the singularity
-    test; one order-6 pass evaluates the coarse grid and ts for both."""
+    test; one order-6 pass evaluates the coarse grid and ts for both.  All
+    points are decided at once, one ``_div`` per order, on a loop's bits."""
     grid = parameter_grid(family.domain, _SCALE_GRID_N)
     tpj, apj = family.derivative_jets(np.concatenate((grid, ts)), SERIES_ORDER)
     theta_derivs = np.array(tpj.coeffs)  # rows m = 0..5: theta^(m+1), a^(m+1)
@@ -278,29 +279,34 @@ def _classify_points(family: LineFamily, ts: np.ndarray,
     th_scales, a_scales = (np.where(v > 0.0, v, 1.0) for v in scales)
     theta_derivs, a_derivs = theta_derivs[:, _SCALE_GRID_N:], a_derivs[:, _SCALE_GRID_N:]
     nonzero = np.abs(theta_derivs[:LHOPITAL_DEPTH]) > EPS_SING * th_scales
-    a_vanish = np.abs(a_derivs[:LHOPITAL_DEPTH]) <= EPS_CRE * a_scales
+    # row m: a^(1..m+1) all vanish; a point of order k + 1 needs row k - 1
+    a_held = np.logical_and.accumulate(
+        np.abs(a_derivs[:LHOPITAL_DEPTH]) <= EPS_CRE * a_scales, axis=0)
+    ks = np.argmax(nonzero, axis=0)  # order k + 1: theta^(k+1) is the first outside its band
+    found = nonzero.any(axis=0)
+    resolvable = found & ((ks == 0) | a_held[np.maximum(ks - 1, 0), np.arange(ts.size)])
     half_gap = 0.5 * np.diff(ts, prepend=-np.inf, append=np.inf)  # to the neighbours
     cap = 0.25 * (family.domain[1] - family.domain[0])
-    points = []
-    for i, t0 in enumerate(ts.tolist()):
-        order = int(np.argmax(nonzero[:, i])) + 1 if nonzero[:, i].any() else None
-        resolvable = order is not None and bool(a_vanish[:order - 1, i].all())
-        series, radius = (), 0.0
-        if resolvable:
-            # theta' and a' share the factor (t - t0)^k: cancel it and divide
-            # the series, scaling term m by k!/m! (the leading one by 1)
-            k = order - 1
-            scale = [math.factorial(k) / math.factorial(m) for m in range(k, SERIES_ORDER)]
-            th, a = ([v * f for v, f in zip(d[k:, i].tolist(), scale)]
-                     for d in (theta_derivs, a_derivs))
-            series = tuple(_div(a, th))
+    series, radius = [()] * ts.size, [0.0] * ts.size
+    for k in set(ks[resolvable].tolist()):  # the orders present, at most LHOPITAL_DEPTH
+        cols = np.flatnonzero(resolvable & (ks == k))
+        # theta' and a' share the factor (t - t0)^k: cancel it and divide
+        # the series, scaling term m by k!/m! (the leading one by 1)
+        scale = [math.factorial(k) / math.factorial(m) for m in range(k, SERIES_ORDER)]
+        th, a = ([row * f for row, f in zip(d[k:, cols], scale)]
+                 for d in (theta_derivs, a_derivs))
+        with np.errstate(all="ignore"):  # overflow gives inf, as on floats
+            b = np.array(_div(a, th)).T.tolist()
             # |theta'| ~ |theta^(k+1)| r^k / k! reaches the quotient band at r
-            level = math.factorial(k) * QUOTIENT_COND * scale_theta / abs(th[0])
-            radius = min(level ** (1.0 / k), cap, *half_gap[i:i + 2].tolist()) if k else 0.0
-        points.append(SingularPoint(t0, order, float(a_derivs[0, i]), resolvable,
-                                    series[0] if resolvable else None,
-                                    bool(a_vanish[:, i].all()), series, radius))
-    return tuple(points)
+            level = math.factorial(k) * QUOTIENT_COND * scale_theta / np.abs(th[0])
+        for i, coeffs, lv, lo, hi in zip(cols.tolist(), b, level.tolist(),
+                                         half_gap[cols].tolist(), half_gap[cols + 1].tolist()):
+            # Python's pow: numpy's can differ from it in the last ulp
+            series[i], radius[i] = tuple(coeffs), min(lv ** (1.0 / k), cap, lo, hi) if k else 0.0
+    return tuple(SingularPoint(t0, k + 1 if has else None, ap, ok, s[0] if ok else None, flat, s, r)
+                 for t0, has, k, ap, ok, flat, s, r in zip(
+                     ts.tolist(), found.tolist(), ks.tolist(), a_derivs[0].tolist(),
+                     resolvable.tolist(), a_held[-1].tolist(), series, radius))
 
 
 # -- singular point search -----------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -278,27 +279,42 @@ def _json_escape(text: str) -> str:
 
 
 _SCALARS = {float, int, bool, str, type(None)}
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def _is_floats(value) -> bool:
     return type(value) in (list, tuple) and set(map(type, value)) <= {float}
 
 
-def _table(rows: list[dict], indent: int) -> str:
-    """Flat dicts that share one key order, written column by column: a
-    ``%.17g`` for each float, also in a list of floats, and the per-value
-    text of every other cell; then all the floats in one pass."""
+def _table(rows: list[dict], indent: int) -> str | None:
+    """Flat dicts that share one key order, written column by column (None
+    when a cell is neither a scalar nor a list of floats).  Each column's
+    types are looked up once, and only a column of mixed types is written
+    cell by cell; then every float goes through one pass, in document order."""
     pad, field = "  " * indent, "  " * (indent + 1)
-    heads = [f"{field}{_json_escape(key)}: ".replace("%", "%%") for key in rows[0]]
-    columns = [[head + ("%.17g" if type(v) is float
-                        else "[" + ", ".join(["%.17g"] * len(v)) + "]" if _is_floats(v)
-                        else to_json(v).replace("%", "%%"))
-                for v in column]
-               for head, column in zip(heads, zip(*[row.values() for row in rows]))]
+    columns, floats = [], []  # the text of each column; the floats of each row, by column
+    for key, column in zip(rows[0], zip(*[row.values() for row in rows])):
+        head = f"{field}{_json_escape(key)}: ".replace("%", "%%")
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            columns.append([head + "%.17g"] * len(column))
+            floats.append(zip(column))
+        elif kinds <= {bool, type(None)}:  # never 1 or 0, which equal True and False
+            columns.append([head + _LITERALS[v] for v in column])
+        elif kinds == {int}:
+            columns.append([head + str(v) for v in column])
+        elif all(type(v) in _SCALARS or _is_floats(v) for v in column):
+            columns.append([head + ("%.17g" if type(v) is float
+                                    else "[" + ", ".join(["%.17g"] * len(v)) + "]" if _is_floats(v)
+                                    else to_json(v).replace("%", "%%"))
+                            for v in column])
+            floats.append([(v,) if type(v) is float else v if _is_floats(v) else ()
+                           for v in column])
+        else:
+            return None
     body = ",\n".join(pad + "{\n" + ",\n".join(cells) + "\n" + pad + "}"
                       for cells in zip(*columns))
-    return _fmt_floats(body, [x for row in rows for v in row.values()
-                              for x in ((v,) if type(v) is float else v if _is_floats(v) else ())])
+    return _fmt_floats(body, list(chain.from_iterable(chain.from_iterable(zip(*floats)))))
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -326,10 +342,10 @@ def to_json(value, indent: int = 0) -> str:
                 line = inner + "[" + ", ".join(["%.17g"] * len(value[0])) + "]"
                 return "[\n" + _fmt_floats(",\n".join([line] * len(value)), flat) + "\n" + pad + "]"
         keys = list(value[0]) if type(value[0]) is dict else None
-        if keys and all(type(row) is dict and list(row) == keys
-                        and all(type(v) in _SCALARS or _is_floats(v) for v in row.values())
-                        for row in value):
-            return "[\n" + _table(value, indent + 1) + "\n" + pad + "]"
+        if keys and all(type(row) is dict and list(row) == keys for row in value):
+            table = _table(value, indent + 1)
+            if table is not None:
+                return "[\n" + table + "\n" + pad + "]"
         rows = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(value, bool):

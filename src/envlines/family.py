@@ -107,8 +107,21 @@ class LineFamily:
         """
         if not 0 <= order <= _MAX_COEFF_ORDER:
             raise ValueError(f"order must be in [0, {_MAX_COEFF_ORDER}], got {order}")
-        return named_pass(lambda u: self._coeffs(u, order), t,
-                          (ExpressionDomainError, DegenerateFamilyError))
+        if not isinstance(t, np.ndarray):
+            return self._coeffs(float(t), order)
+        t = t.astype(float, copy=False)
+        errors = (ExpressionDomainError, DegenerateFamilyError)
+        with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
+            try:
+                return self._coeffs(t, order)
+            except errors as err:
+                # evaluate_jet has named the first parameter where the sources
+                # fail (a recipe error holds the array): only the recipe can
+                # fail before it, so one more bisection covers that prefix
+                stop = t.size if isinstance(err.t, np.ndarray) else int(np.argmax(t == err.t))
+                if stop:
+                    named_pass(lambda u: self._coeffs(u, order), t[:stop], errors)
+                raise
 
     def _coeffs(self, t, order: int) -> tuple[Jet, Jet, Jet]:
         return self._recipe(t, order, *evaluate_jet(self._program, t, order))

@@ -504,6 +504,11 @@ class TestJsonWriter:
         table = [{"t": 0.5 * k, "x %s": a, "y": b, "nu": [b, 0.25][:k % 3]}
                  if type(b) is float else {"t": 0.5 * k, "x %s": a, "y": b, "nu": [-0.5 * k]}
                  for k, (a, b) in enumerate(zip(cells, reversed(cells)))]
+        # one column for each kind written without a per-cell call
+        kinds = {"floats": [-0.0, 5e-324, 1.0 / 3.0], "flags": [True, None, False],
+                 "ints": [0, 1, 10 ** 17], "one_and_true": [1, True, 0, False]}
+        for k, row in enumerate(table):
+            row.update({key: column[k % len(column)] for key, column in kinds.items()})
         payload = {"table": table, "nested": {"table": table[:2]},
                    "not_a_table": [{"t": 1.0}, {"u": 1.0}, {"t": [1.0]}, {}],
                    "int_list_cells": [{"t": 1.0, "nu": [1, 2.0]}, {"t": 2.0, "nu": [3.0, 4]}]}
@@ -512,14 +517,21 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_bulk_tables_reject_non_finite_values_alike(self, bad):
-        # the first non-finite value in document order, not in column order
-        table = [{"a": 0.5, "b": None}, {"a": 1.5, "b": bad}, {"a": -bad, "b": 2.5}]
-        with pytest.raises(ValueError) as per_value:
-            _to_json_per_value(table)
-        with pytest.raises(ValueError) as bulk:
-            to_json(table)
-        assert str(bulk.value) == str(per_value.value) == \
-            f"non-finite value {bad!r} cannot be serialized"
+        # the first non-finite value in document order, not in column order,
+        # also where it follows a column of literals in its row
+        mixed_first = [{"a": 0.5, "b": None, "c": True, "d": 0.5},
+                       {"a": 1.5, "b": bad, "c": None, "d": 1.5},
+                       {"a": -bad, "b": 2.5, "c": False, "d": 2.5}]
+        literal_first = [{"a": 0.5, "b": None, "c": True, "d": 0.5},
+                         {"a": 1.5, "b": None, "c": None, "d": bad},
+                         {"a": -bad, "b": 2.5, "c": False, "d": 2.5}]
+        for table in (mixed_first, literal_first):
+            with pytest.raises(ValueError) as per_value:
+                _to_json_per_value(table)
+            with pytest.raises(ValueError) as bulk:
+                to_json(table)
+            assert str(bulk.value) == str(per_value.value) == \
+                f"non-finite value {bad!r} cannot be serialized"
 
 
 def _fmt_float_per_value(x):

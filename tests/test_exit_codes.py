@@ -179,6 +179,25 @@ def test_domain_error_on_the_verification_grid_is_named_quickly():
          "analyze", "--theta", "t", "--a", "sqrt((t-0.001025)^2-1e-10)", "--domain", "-1:1",
          "--grid-n", "40001"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=5)
-    assert (proc.returncode, proc.stderr) == (
-        5, "error: domain error in 'sqrt((t-0.001025)^2.0-1e-10)' at t = 0.0010250000000000536: "
-           "sqrt of negative value -1e-10\n")
+    assert (proc.returncode, proc.stderr) == (5, SQRT_PROBE_ERROR)
+
+
+SQRT_PROBE_ERROR = ("error: domain error in 'sqrt((t-0.001025)^2.0-1e-10)' at t = "
+                    "0.0010250000000000536: sqrt of negative value -1e-10\n")
+
+
+def test_domain_error_is_named_in_one_bisection(monkeypatch, capsys):
+    # the family's pass and the sources' pass would each bisect the failing
+    # grid, one inside the other: about 170 passes where one bisection is 20
+    from envlines.expr import JetProgram
+    run, passes = JetProgram.run, []
+
+    def counted(self, t, order):
+        passes.append(order)
+        return run(self, t, order)
+
+    monkeypatch.setattr(JetProgram, "run", counted)
+    assert main(["analyze", "--theta", "t", "--a", "sqrt((t-0.001025)^2-1e-10)",
+                 "--domain", "-1:1", "--grid-n", "40001"]) == 5
+    assert capsys.readouterr().err == SQRT_PROBE_ERROR
+    assert len(passes) <= 40

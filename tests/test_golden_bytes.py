@@ -33,6 +33,9 @@ INVOCATIONS = {
     "sine-tangent-plot": ["plot", *SINE_TANGENT],
     "sine-evolute-wide": ["analyze", *SINE_EVOLUTE, "--domain", "-1000:1000",
                           "--grid-n", "10001"],
+    # inconclusive (exit 4), after the creator reads b's series in 637 zones
+    "sine-tangent-wide": ["analyze", *SINE_TANGENT, "--domain", "-1000:1000",
+                          "--grid-n", "10001"],
     "probe-log-plus-cos": ["analyze", "--theta", "log(t)+cos(t)", "--a", "t",
                            "--domain", "-1:1"],
     "probe-constant-exponent": ["analyze", "--theta", "t^(log(0-1))", "--a", "t",
@@ -87,6 +90,7 @@ DIGESTS = {
     "sine-tangent-compare": "f596aa4fc9622f0429e2429259fe75c6ebb9d29bd54cc816f1de9e2c48bf4766",
     "sine-tangent-plot": "6f8901941b6de62bae1ee502e76cf95f146167fb7b10ec985d160ea1c29c726f",
     "sine-evolute-wide": "f29bcf44395df7dd510f11b3592b768110e3fb9c4890136659812ddef630d6fc",
+    "sine-tangent-wide": "0409300c7af2019e072a1f3afd0d0e3e62395f6a126e0cbe0e42264572194bd0",
     "probe-log-plus-cos": "433902fd833542201c99d1eb8791c8814d2210b7910721151b49d5ff1060e4dc",
     "probe-constant-exponent": "fd7536043fdcee4c8ac4f027480d5524f96bfc1d4a949e96f8ac37c95ff9fbb2",
     "probe-general-sqrt-log": "310f4d28945134c0bc27945571b03fbf8af43a8690b1f9af030b93bb9d79e9dd",
