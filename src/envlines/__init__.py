@@ -32,6 +32,7 @@ from .analysis import (
     assess_uniqueness,
     build_creator,
     find_gauss_singular_points,
+    scan_grid,
 )
 from .discriminant import (
     ComparisonReport,
@@ -112,18 +113,18 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
     build the creator (``user_b``, parsed only for a creative family, when
     given), sample and verify the envelope, and compare it with the
     discriminant.  A failed verification makes the verdict inconclusive."""
-    scan = analysis.scan_grid(family, grid_n)
-    singulars = find_gauss_singular_points(family, grid_n, scan)
-    report = assess_creativity(family, grid_n, singulars, scan)
-    result = Analysis(family, scan, singulars, report, assess_uniqueness(family, grid_n, scan),
-                      None, None, None, sample_discriminant(family, grid_n, singulars, scan), None)
+    scan = scan_grid(family, grid_n)
+    singulars = find_gauss_singular_points(scan)
+    report = assess_creativity(scan, singulars)
+    result = Analysis(family, scan, singulars, report, assess_uniqueness(scan),
+                      None, None, None, sample_discriminant(scan, singulars), None)
     if report.verdict != CREATIVE:
         return result
-    creator = build_creator(family, report, parse_expression(user_b) if user_b else None, scan)
+    creator = build_creator(scan, report, parse_expression(user_b) if user_b else None)
     curve = sample_envelope(family, creator, grid_n, scan)
     fine_n = 4 * (max(grid_n, _VERIFY_FLOOR_N) - 1) + 1
     try:
-        check = verify_envelope(sample_envelope(family, creator, fine_n), family)
+        check = verify_envelope(sample_envelope(family, creator, fine_n))
     except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed
         return _replace(result, creativity=analysis.mark_unverified(
             report, f"envelope verification failed at n = {fine_n}: {err}"))
@@ -136,7 +137,7 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
     if not check.passed:
         return _replace(result, creativity=analysis.mark_unverified(
             report, f"envelope verification failed at n = {fine_n}: {check.failure}"))
-    comparison = compare_methods(family, creator, grid_n, result.discriminant, curve)
+    comparison = compare_methods(creator, result.discriminant, curve)
     return _replace(result, comparison={
         "widespread_ok": comparison.widespread_ok,
         "failure_ts": list(comparison.failure_ts),

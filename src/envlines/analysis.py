@@ -101,12 +101,13 @@ def parameter_grid(domain: tuple[float, float], n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridScan:
-    """The analysis grid after one order-1 pass of the coefficient jets: the
-    lines (c, s, a), theta' and a' at every grid parameter, and the
-    grid-derived quantities that enter the tolerance bands.  A run evaluates
-    its grid once: functions with a ``scan`` parameter read this one when
-    given it, and otherwise build their own with ``scan_grid``."""
+    """The run's analysis grid after one order-1 pass of the coefficient jets:
+    the lines (c, s, a), theta' and a' at every grid parameter, the
+    quantities that enter the tolerance bands, and the grid decisions every
+    stage reads.  ``scan_grid`` makes it once per run; each stage takes it
+    as its only grid."""
 
+    family: LineFamily
     ts: np.ndarray
     c: np.ndarray
     s: np.ndarray
@@ -117,17 +118,32 @@ class GridScan:
     scale_a: float
     cell: float        # nominal cell (domain length / grid_n), used in tolerances
     delta_flat: float  # minimum span of a run of singular cells to call it flat
+    runs: tuple[tuple[int, int], ...]       # maximal index runs [start, end] of banded theta'
+    flat_runs: tuple[tuple[int, int], ...]  # the runs that span at least delta_flat
+
+    @property
+    def grid_n(self) -> int:
+        return self.ts.size
 
 
 def scan_grid(family: LineFamily, grid_n: int) -> GridScan:
-    """The scan of ``family`` on its n-point analysis grid."""
+    """The scan of ``family`` on its n-point analysis grid, with the runs of
+    grid points where |theta'| sits inside the singularity band."""
+    if grid_n < MIN_GRID_N:
+        raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
     ts = parameter_grid(family.domain, grid_n)
     c, s, a, tp, ap = first_order(family, ts)
     scale_theta = float(np.max(np.abs(tp))) or 1.0
     scale_a = float(np.max(np.abs(ap))) or 1.0
     cell = (family.domain[1] - family.domain[0]) / grid_n
     delta_flat = cell * max(3.0, grid_n / 100.0)
-    return GridScan(ts, c, s, a, tp, ap, scale_theta, scale_a, cell, delta_flat)
+    edges = np.flatnonzero(np.diff(np.abs(tp) <= EPS_SING * scale_theta,
+                                   prepend=False, append=False))
+    runs = tuple(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
+    flat_runs = tuple(run for run in runs
+                      if ts[run[1]] - ts[run[0]] >= delta_flat * (1.0 - 1e-9))
+    return GridScan(family, ts, c, s, a, tp, ap, scale_theta, scale_a, cell, delta_flat,
+                    runs, flat_runs)
 
 
 def first_order(family: LineFamily, t):
@@ -143,28 +159,14 @@ def _first_derivatives(family: LineFamily, t):
     return first_order(family, t)[3:]
 
 
-def grid_profile(family: LineFamily, grid_n: int,
-                 scan: GridScan | None = None) -> dict[str, float]:
+def grid_profile(scan: GridScan) -> dict[str, float]:
     """Grid-derived quantities entering the tolerance bands (for reporting)."""
-    scan = scan or scan_grid(family, grid_n)
     return {
         "scale_theta": scan.scale_theta,
         "scale_a": scan.scale_a,
         "cell": scan.cell,
         "delta_flat": scan.delta_flat,
     }
-
-
-def _singular_runs(scan: GridScan) -> list[tuple[int, int]]:
-    """Maximal index runs [start, end] where |theta'| sits inside the band."""
-    mask = np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
-
-
-def _is_flat_run(scan: GridScan, run: tuple[int, int]) -> bool:
-    span = scan.ts[run[1]] - scan.ts[run[0]]
-    return span >= scan.delta_flat * (1.0 - 1e-9)
 
 
 # -- root refinement ---------------------------------------------------------
@@ -314,8 +316,7 @@ def _classify_points(family: LineFamily, ts: np.ndarray,
 _TANGENTIAL_TRIGGER = 1e-3  # relative |theta'| level that prompts a local minimization
 
 
-def find_gauss_singular_points(family: LineFamily, grid_n: int,
-                               scan: GridScan | None = None) -> tuple[SingularPoint, ...]:
+def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
     """Locate and classify the parameters where theta' vanishes.
 
     Sign changes of theta' are refined by bisection to width 1e-12;
@@ -324,30 +325,26 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
     over the bracketing cells.  A run of banded points long enough to
     count as a flat interval is reported as one point at its midpoint.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    scan = scan or scan_grid(family, grid_n)
-    ts, tp = scan.ts, scan.theta_prime
+    family, ts, tp = scan.family, scan.ts, scan.theta_prime
     band = EPS_SING * scan.scale_theta
     w = np.abs(tp)
-    mask = w <= band
 
     sign_change = tp[:-1] * tp[1:] < 0.0
     brackets = np.flatnonzero(sign_change)  # cells [i, i + 1] to bisect
 
     # one ternary search per non-flat run of banded points, then one per
     # tangential dip, kept when its minimum falls inside the band
-    flat_mids, run_lo, run_hi = [], [], []
-    for start, end in _singular_runs(scan):
-        if _is_flat_run(scan, (start, end)):
-            flat_mids.append(float(0.5 * (ts[start] + ts[end])))
+    flat_mids = [float(0.5 * (ts[start] + ts[end])) for start, end in scan.flat_runs]
+    run_lo, run_hi = [], []
+    for start, end in scan.runs:
+        if (start, end) in scan.flat_runs:
             continue
         best = start + int(np.argmin(np.abs(tp[start:end + 1])))
         run_lo.append(ts[max(best - 1, 0)])
-        run_hi.append(ts[min(best + 1, grid_n - 1)])
+        run_hi.append(ts[min(best + 1, ts.size - 1)])
     trigger = _TANGENTIAL_TRIGGER * scan.scale_theta
     inner = w[1:-1]
-    dips = (~mask[1:-1] & ~(inner > trigger) & (inner <= w[:-2]) & (inner < w[2:])
+    dips = (~(inner <= band) & ~(inner > trigger) & (inner <= w[:-2]) & (inner < w[2:])
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
     i = np.flatnonzero(dips) + 1
     found, t_min = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
@@ -362,7 +359,7 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
     order = np.argsort(every[keep], kind="stable")
     candidates, size = every[keep][order].tolist(), size[keep][order].tolist()
 
-    merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (grid_n - 1)
+    merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (ts.size - 1)
     accepted: list[int] = []  # indices into candidates
     for k, t0 in enumerate(candidates):
         if accepted and t0 - candidates[accepted[-1]] <= merge_radius:
@@ -376,23 +373,13 @@ def find_gauss_singular_points(family: LineFamily, grid_n: int,
 
 # -- uniqueness ----------------------------------------------------------------
 
-def assess_uniqueness(family: LineFamily, grid_n: int,
-                      scan: GridScan | None = None) -> UniquenessVerdict:
+def assess_uniqueness(scan: GridScan) -> UniquenessVerdict:
     """Uniqueness verdict: unique iff regular points are dense at grid resolution."""
-    if grid_n < MIN_GRID_N:
-        raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
-    scan = scan or scan_grid(family, grid_n)
-    mask = np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta
-    unmet = bool(np.any(mask[:-1] & mask[1:]))
-    flats = tuple(
-        (float(scan.ts[start]), float(scan.ts[end]))
-        for start, end in _singular_runs(scan)
-        if _is_flat_run(scan, (start, end))
-    )
-    if not unmet:
+    if all(start == end for start, end in scan.runs):  # no two banded neighbours
         return UniquenessVerdict(UNIQUE, ())
-    if flats:
-        return UniquenessVerdict(NON_UNIQUE, flats)
+    if scan.flat_runs:
+        return UniquenessVerdict(NON_UNIQUE, tuple(
+            (float(scan.ts[start]), float(scan.ts[end])) for start, end in scan.flat_runs))
     return UniquenessVerdict(INCONCLUSIVE, ())
 
 
@@ -491,10 +478,10 @@ class CreatorFunction:
                 f"{len(self.flat_intervals)} flat)")
 
 
-def _flat_fills(scan: GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
+def _flat_fills(scan: GridScan) -> list[tuple[float, float, float]]:
     """Constant fill per flat run, extended from the nearest non-flat boundary."""
     fills: list[tuple[float, float, float]] = []
-    for start, end in flat_runs:
+    for start, end in scan.flat_runs:
         if start > 0:
             i = start - 1  # prefer the left boundary
         elif end < len(scan.ts) - 1:
@@ -506,13 +493,11 @@ def _flat_fills(scan: GridScan, flat_runs: list[tuple[int, int]]) -> list[tuple[
     return fills
 
 
-def _assemble_canonical(family: LineFamily, grid_n: int, scan: GridScan,
-                        isolated: tuple[SingularPoint, ...],
-                        flat_runs: list[tuple[int, int]]) -> CreatorFunction:
-    return CreatorFunction(family, grid_n, scan.scale_theta,
+def _assemble_canonical(scan: GridScan, isolated: tuple[SingularPoint, ...],
+                        fills: list[tuple[float, float, float]]) -> CreatorFunction:
+    return CreatorFunction(scan.family, scan.grid_n, scan.scale_theta,
                            tuple(p for p in isolated if p.resolvable),
-                           tuple(p.t for p in isolated if not p.resolvable),
-                           tuple(_flat_fills(scan, flat_runs)))
+                           tuple(p.t for p in isolated if not p.resolvable), tuple(fills))
 
 
 def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,
@@ -538,27 +523,16 @@ _LEADS = {
 }
 
 
-def assess_creativity(family: LineFamily, grid_n: int,
-                      singulars: tuple[SingularPoint, ...] | None = None,
-                      scan: GridScan | None = None) -> CreativityReport:
-    """Creativity verdict with witnesses and, when creative, the canonical creator.
-
-    ``singulars`` are ``find_gauss_singular_points(family, grid_n)`` when the
-    caller already has them.
-    """
-    if grid_n < MIN_GRID_N:
-        raise ValueError(f"grid_n must be >= {MIN_GRID_N}, got {grid_n}")
-    scan = scan or scan_grid(family, grid_n)
-    runs = _singular_runs(scan)
-    flat_runs = [run for run in runs if _is_flat_run(scan, run)]
-    flat_bounds = [(float(scan.ts[s]), float(scan.ts[e])) for s, e in flat_runs]
-
+def assess_creativity(scan: GridScan,
+                      singulars: tuple[SingularPoint, ...]) -> CreativityReport:
+    """Creativity verdict with witnesses and, when creative, the canonical
+    creator; ``singulars`` are ``find_gauss_singular_points(scan)``."""
+    flat_runs, fills = scan.flat_runs, _flat_fills(scan)
     notes: list[str] = []
     fatal = False
     undecided = False
 
     witnesses: list[SingularPoint] = []
-    fills = _flat_fills(scan, flat_runs)
     for (start, end), (lo, hi, fill) in zip(flat_runs, fills):
         segment = np.abs(scan.a_prime[start:end + 1])
         worst = start + int(np.argmax(segment))
@@ -579,10 +553,8 @@ def assess_creativity(family: LineFamily, grid_n: int,
             )
 
     def in_flat(t: float) -> bool:
-        return any(lo - 1e-12 <= t <= hi + 1e-12 for lo, hi in flat_bounds)
+        return any(lo - 1e-12 <= t <= hi + 1e-12 for lo, hi, _ in fills)
 
-    if singulars is None:
-        singulars = find_gauss_singular_points(family, grid_n, scan)
     isolated = tuple(p for p in singulars if not in_flat(p.t))
     for point in isolated:
         witnesses.append(point)
@@ -608,7 +580,7 @@ def assess_creativity(family: LineFamily, grid_n: int,
         verdict = INCONCLUSIVE
     else:
         verdict = CREATIVE
-        creator = _assemble_canonical(family, grid_n, scan, isolated, flat_runs)
+        creator = _assemble_canonical(scan, isolated, fills)
         miss = None
         try:
             res = _star_residuals(creator, scan.ts, scan.theta_prime, scan.a_prime)
@@ -630,8 +602,9 @@ def assess_creativity(family: LineFamily, grid_n: int,
                 "canonical constant fill applied (any smooth b works there)"
             )
 
+    lo, hi = scan.family.domain
     notes.append(
-        f"certified at grid_n = {grid_n} on [{family.domain[0]}, {family.domain[1]}] "
+        f"certified at grid_n = {scan.grid_n} on [{lo}, {hi}] "
         f"with eps_sing = {EPS_SING}, eps_cre = {EPS_CRE}, eps_star = {EPS_STAR}, "
         f"L'Hopital depth {LHOPITAL_DEPTH}"
     )
@@ -648,18 +621,17 @@ def mark_unverified(report: CreativityReport, failure: str) -> CreativityReport:
                    notes=f"{_LEADS[INCONCLUSIVE]}{body}; {failure}")
 
 
-def build_creator(family: LineFamily, report: CreativityReport,
-                  user_b: ExpressionAst | None = None,
-                  scan: GridScan | None = None) -> CreatorFunction:
-    """The canonical creator from the report, or a validated user override."""
+def build_creator(scan: GridScan, report: CreativityReport,
+                  user_b: ExpressionAst | None = None) -> CreatorFunction:
+    """The canonical creator from the scan's report, or a user override
+    validated on the scan."""
     if report.verdict != CREATIVE:
         raise ValueError(f"cannot build a creator for a {report.verdict} family")
     assert report.creator is not None
     if user_b is None:
         return report.creator
-    creator = CreatorFunction(family, report.creator.grid_n, report.creator.scale_theta,
-                              (), (), (), user_expr=user_b)
-    scan = scan or scan_grid(family, report.creator.grid_n)
+    creator = CreatorFunction(scan.family, scan.grid_n, scan.scale_theta, (), (), (),
+                              user_expr=user_b)
     ts, tp, ap = scan.ts, scan.theta_prime, scan.a_prime
     try:
         res = _star_residuals(creator, ts, tp, ap)

@@ -397,7 +397,7 @@ def _header(config: RunConfig, family: LineFamily, *omit: str) -> dict:
 def build_document(config: RunConfig, result: Analysis) -> dict:
     """The analysis document: everything the pipeline concluded, serializable."""
     family = result.family
-    profile = grid_profile(family, config.grid_n, result.scan)
+    profile = grid_profile(result.scan)
     doc = _header(config, family)
     doc["tolerances"] = {
         "eps_sing": EPS_SING,

@@ -15,18 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    EPS_CRE,
-    EPS_SING,
-    GridScan,
-    SingularPoint,
-    find_gauss_singular_points,
-    first_order,
-    scan_grid,
-)
-from .envelope import Creator, EnvelopeCurve, envelope_points, sample_envelope
+from .analysis import EPS_CRE, EPS_SING, CreatorFunction, GridScan, SingularPoint, first_order
+from .envelope import EnvelopeCurve, envelope_points
 from .expr import ExpressionDomainError
-from .family import LineCoefficients, LineFamily
+from .family import LineCoefficients
 
 POINT = "point"
 WHOLE_LINE = "whole_line"
@@ -113,21 +105,14 @@ def _off_grid(grid: np.ndarray, singulars: tuple[SingularPoint, ...]) -> np.ndar
     return ts[~near]
 
 
-def sample_discriminant(family: LineFamily, n: int,
-                        singulars: tuple[SingularPoint, ...] | None = None,
-                        scan: GridScan | None = None) -> DiscriminantSet:
-    """Slice-by-slice discriminant over n uniform parameters (plus refined
-    singular parameters, which a uniform grid would miss).
+def sample_discriminant(scan: GridScan,
+                        singulars: tuple[SingularPoint, ...]) -> DiscriminantSet:
+    """Slice-by-slice discriminant over the scan's grid plus the refined
+    singular parameters ``singulars``, which a uniform grid would miss.
 
-    ``singulars`` are ``find_gauss_singular_points(family, n)`` when the
-    caller already has them.  Only the singular parameters between grid
-    points are evaluated here; the rest is read from the scan.
+    Only the singular parameters between grid points are evaluated here;
+    the rest is read from the scan.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    scan = scan or scan_grid(family, n)
-    if singulars is None:
-        singulars = find_gauss_singular_points(family, n, scan)
     columns = (scan.ts, scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime)
     extra = _off_grid(scan.ts, singulars)
     if extra.size:  # merged positions: the added parameters at ``at``, the grid in between
@@ -135,27 +120,23 @@ def sample_discriminant(family: LineFamily, n: int,
         grid = np.ones(scan.ts.size + extra.size, bool)
         grid[at] = False
         merged = [np.empty(grid.size) for _ in columns]
-        for out, column, values in zip(merged, columns, (extra, *first_order(family, extra))):
+        for out, column, values in zip(merged, columns, (extra, *first_order(scan.family, extra))):
             out[grid], out[at] = column, values
         columns = merged
     return _classify(*columns, scan.scale_theta, scan.scale_a)
 
 
-def compare_methods(family: LineFamily, creator: Creator, n: int,
-                    disc: DiscriminantSet | None = None,
-                    curve: EnvelopeCurve | None = None) -> ComparisonReport:
+def compare_methods(creator: CreatorFunction, disc: DiscriminantSet,
+                    curve: EnvelopeCurve) -> ComparisonReport:
     """Where (if anywhere) the discriminant method misses the envelope.
 
     The widespread method stands exactly when every slice is a single point
     that coincides with the envelope parametrization; it fails at and only
     at the singular parameters of the Gauss map, where a slice degenerates
     into the whole member line (or into nothing for a non-creative family).
-    ``disc`` is ``sample_discriminant(family, n)`` and ``curve`` is
-    ``sample_envelope(family, creator, n)`` when the caller has them; only the
-    point slices between grid points are evaluated here.
+    ``disc`` and ``curve``, the envelope of ``creator``, are sampled on the
+    same grid; only the point slices between grid points are evaluated here.
     """
-    disc = disc or sample_discriminant(family, n)
-    curve = curve or sample_envelope(family, creator, n)
     point = disc.kind == 0
     failures = disc.ts[~point].tolist()
     ts = disc.ts[point]
@@ -163,7 +144,7 @@ def compare_methods(family: LineFamily, creator: Creator, n: int,
     off = np.flatnonzero(curve.ts[i] != ts)  # the point slices between grid points
     expected = curve.points[i]
     if off.size:
-        expected[off] = envelope_points(family, creator, ts[off])[0]
+        expected[off] = envelope_points(creator.family, creator, ts[off])[0]
     err = np.maximum(np.abs(disc.xs[point] - expected[:, 0]),
                      np.abs(disc.ys[point] - expected[:, 1]))
     mismatches = int(np.count_nonzero(err > MATCH_TOL))

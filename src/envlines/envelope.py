@@ -9,20 +9,15 @@ than reusing the jets that produced it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analysis import CreatorFunction, GridScan, first_order, parameter_grid
-from .expr import unparse
 from .family import LineFamily
 
 MEMBERSHIP_TOL = 1e-9
 TANGENCY_TOL = 1e-5  # scaled by (1 + max |E'|); doubled at the endpoints
-
-Creator = CreatorFunction | Callable[[float], float]
 
 
 class TooFewSamplesError(ValueError):
@@ -48,8 +43,6 @@ class EnvelopeCurve:
     nus: np.ndarray
     b_values: np.ndarray
     offsets: np.ndarray
-    family_id: str
-    creator_id: str
 
     @property
     def samples(self) -> tuple[EnvelopePoint, ...]:
@@ -78,24 +71,7 @@ class VerificationReport:
                 "(doubled at the endpoints)")
 
 
-def _family_token(family: LineFamily) -> str:
-    text = family.mode + "|" + "|".join(
-        f"{k}={unparse(v)}" for k, v in sorted(family.source_exprs.items())
-    ) + f"|{family.domain}"
-    return "family-" + hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _creator_token(creator: Creator) -> str:
-    if isinstance(creator, CreatorFunction):
-        if creator.user_expr is not None:
-            text = "user:" + unparse(creator.user_expr)
-        else:
-            text = f"canonical:grid={creator.grid_n}"
-        return "creator-" + hashlib.sha256(text.encode()).hexdigest()[:12]
-    return "creator-callable"
-
-
-def envelope_point(family: LineFamily, creator: Creator, t: float) -> EnvelopePoint:
+def envelope_point(family: LineFamily, creator: CreatorFunction, t: float) -> EnvelopePoint:
     """One point of the envelope at parameter t."""
     family.require_in_domain(t)
     c, s, a = family.coeff_jets(t, 0)
@@ -105,7 +81,7 @@ def envelope_point(family: LineFamily, creator: Creator, t: float) -> EnvelopePo
     return EnvelopePoint(float(t), (x, y), (c.value, s.value), b)
 
 
-def envelope_points(family: LineFamily, creator: Creator, ts: np.ndarray,
+def envelope_points(family: LineFamily, creator: CreatorFunction, ts: np.ndarray,
                     scan: GridScan | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Points and normals (n x 2), offsets and creator values at the
@@ -113,34 +89,29 @@ def envelope_points(family: LineFamily, creator: Creator, ts: np.ndarray,
     the jets: order 1 for a canonical creator, which reads theta' and a'
     from it, order 0 otherwise.  An error of the jets, then of the creator,
     names its first failing parameter."""
-    canonical = isinstance(creator, CreatorFunction) and creator.user_expr is None
+    canonical = creator.user_expr is None
     if scan is not None:
         c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
     elif canonical:
         c, s, a, tp, ap = first_order(family, ts)
     else:
         c, s, a = (j.value for j in family.coeff_jets(ts, 0))
-    if canonical:
-        b = creator.on_grid(ts, tp, ap)
-    elif isinstance(creator, CreatorFunction):
-        b = creator(ts)
-    else:
-        b = np.fromiter(map(creator, ts.tolist()), float, count=ts.size)
+    b = creator.on_grid(ts, tp, ap) if canonical else creator(ts)
     points = np.column_stack((a * c - b * s, a * s + b * c))
     return points, np.column_stack((c, s)), a, b
 
 
-def sample_envelope(family: LineFamily, creator: Creator, n: int,
+def sample_envelope(family: LineFamily, creator: CreatorFunction, n: int,
                     scan: GridScan | None = None) -> EnvelopeCurve:
     """The envelope at n uniform parameters across the family's domain."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     ts = parameter_grid(family.domain, n) if scan is None else scan.ts
     points, nus, a, b = envelope_points(family, creator, ts, scan)
-    return EnvelopeCurve(ts, points, nus, b, a, _family_token(family), _creator_token(creator))
+    return EnvelopeCurve(ts, points, nus, b, a)
 
 
-def verify_envelope(curve: EnvelopeCurve, family: LineFamily) -> VerificationReport:
+def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     """Check the defining conditions of an envelope on a sampled curve.
 
     Membership: max |E(t) . nu(t) - a(t)| over the samples, with a(t) the

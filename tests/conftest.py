@@ -7,8 +7,10 @@ from envlines import (
     build_family_general,
     build_family_hedgehog,
     build_family_normalized,
+    find_gauss_singular_points,
     parse_expression,
 )
+from envlines.analysis import scan_grid
 
 P = parse_expression
 
@@ -59,6 +61,14 @@ def clairaut_parabola():
 def unit_hedgehog():
     """Support function 1: envelope is the unit circle."""
     return build_family_hedgehog(P("1"), (0.0, 2.0 * math.pi))
+
+
+def scan_and_singulars(family, grid_n):
+    """The scan of ``family`` at grid_n and its singular points: the inputs of
+    the creativity, creator and discriminant stages, staged as ``analyze``
+    stages them."""
+    scan = scan_grid(family, grid_n)
+    return scan, find_gauss_singular_points(scan)
 
 
 def sine_b_reference(t: float) -> float:

@@ -30,6 +30,7 @@ from envlines import (
 )
 from envlines.analysis import parameter_grid
 from envlines.cli import main
+from conftest import scan_and_singulars
 from exprgen import gentle_expression
 
 P = parse_expression
@@ -45,7 +46,15 @@ def check(name: str, ok: bool, detail: str = "") -> None:
 
 
 def canonical(family, grid_n=1001, user_b=None):
-    return build_creator(family, assess_creativity(family, grid_n), user_b)
+    scan, singulars = scan_and_singulars(family, grid_n)
+    return build_creator(scan, assess_creativity(scan, singulars), user_b)
+
+
+def canonical_comparison(family, grid_n=1001):
+    scan, singulars = scan_and_singulars(family, grid_n)
+    creator = build_creator(scan, assess_creativity(scan, singulars))
+    return compare_methods(creator, sample_discriminant(scan, singulars),
+                           sample_envelope(family, creator, grid_n, scan))
 
 
 def sine_tangent_family():
@@ -55,9 +64,10 @@ def sine_tangent_family():
 def test_criterion_1_sine_tangent_round_trip():
     start = time.perf_counter()
     family = sine_tangent_family()
-    report = assess_creativity(family, 1001)
-    uniqueness = assess_uniqueness(family, 1001)
-    creator = build_creator(family, report)
+    scan, singulars = scan_and_singulars(family, 1001)
+    report = assess_creativity(scan, singulars)
+    uniqueness = assess_uniqueness(scan)
+    creator = build_creator(scan, report)
     curve = sample_envelope(family, creator, 1001)
     elapsed = time.perf_counter() - start
 
@@ -80,12 +90,12 @@ def test_criterion_1_sine_tangent_round_trip():
 def test_criterion_2_creativity_negatives():
     start = time.perf_counter()
     parallel = build_family_normalized(P("0"), P("t"), (-1.0, 1.0))
-    parallel_verdict = assess_creativity(parallel, 1001).verdict
+    parallel_verdict = assess_creativity(*scan_and_singulars(parallel, 1001)).verdict
     t_parallel = time.perf_counter() - start
 
     start = time.perf_counter()
     evolute = build_family_general(P("1"), P("cos t"), P("-t - cos t*sin t"), (-10.0, 10.0))
-    evolute_report = assess_creativity(evolute, 1001)
+    evolute_report = assess_creativity(*scan_and_singulars(evolute, 1001))
     t_evolute = time.perf_counter() - start
 
     witnesses = sorted(p.t for p in evolute_report.witnesses)
@@ -105,18 +115,21 @@ def test_criterion_2_creativity_negatives():
 
 def test_criterion_3_degenerate_positives():
     still = build_family_normalized(P("0"), P("0"), (-1.0, 1.0))
-    still_report = assess_creativity(still, 1001)
-    still_unique = assess_uniqueness(still, 1001).verdict
-    sine_creator = build_creator(still, still_report, P("sin(t)"))
+    still_scan, still_singulars = scan_and_singulars(still, 1001)
+    still_report = assess_creativity(still_scan, still_singulars)
+    still_unique = assess_uniqueness(still_scan).verdict
+    sine_creator = build_creator(still_scan, still_report, P("sin(t)"))
     still_curve = sample_envelope(still, sine_creator, 1001)
     still_err = max(
         max(abs(p.point[0]), abs(p.point[1] - math.sin(p.t))) for p in still_curve.samples
     )
 
     quadratic = build_family_normalized(P("t^2"), P("0"), (-1.0, 1.0))
-    quadratic_report = assess_creativity(quadratic, 1001)
-    quadratic_unique = assess_uniqueness(quadratic, 1001).verdict
-    quadratic_curve = sample_envelope(quadratic, build_creator(quadratic, quadratic_report), 1001)
+    quadratic_scan, quadratic_singulars = scan_and_singulars(quadratic, 1001)
+    quadratic_report = assess_creativity(quadratic_scan, quadratic_singulars)
+    quadratic_unique = assess_uniqueness(quadratic_scan).verdict
+    quadratic_curve = sample_envelope(quadratic, build_creator(quadratic_scan, quadratic_report),
+                                      1001)
     quadratic_err = max(
         max(abs(p.point[0]), abs(p.point[1])) for p in quadratic_curve.samples
     )
@@ -176,14 +189,13 @@ def test_criterion_5_hedgehog_cahn_hoffman():
 
 def test_criterion_6_discriminant_pollution():
     family = sine_tangent_family()
-    creator = canonical(family)
-    comparison = compare_methods(family, creator, 1001)
+    comparison = canonical_comparison(family)
     failures = sorted(comparison.failure_ts)
     set_ok = len(failures) == 7 and all(
         abs(t - expected) <= 1e-9 for t, expected in zip(failures, KPI)
     )
 
-    disc = sample_discriminant(family, 1001)
+    disc = sample_discriminant(*scan_and_singulars(family, 1001))
     lines_ok = len(disc.polluted_lines) == 7
     for (t, line), k in zip(disc.polluted_lines, range(-3, 4)):
         if k % 2 == 0:
@@ -194,7 +206,7 @@ def test_criterion_6_discriminant_pollution():
             lines_ok = lines_ok and abs(x * line.nu[0] + y * line.nu[1] - line.offset) <= 1e-9
 
     clairaut = build_family_clairaut(P("t^2"), (-2.0, 2.0))
-    clairaut_ok = compare_methods(clairaut, canonical(clairaut), 1001).widespread_ok
+    clairaut_ok = canonical_comparison(clairaut).widespread_ok
     check(
         "criterion 6: discriminant pollution",
         (not comparison.widespread_ok) and set_ok and lines_ok and clairaut_ok,
@@ -208,7 +220,7 @@ def _creative_runs():
     sine = sine_tangent_family()
     runs.append((sine, canonical(sine)))
     still = build_family_normalized(P("0"), P("0"), (-1.0, 1.0))
-    runs.append((still, build_creator(still, assess_creativity(still, 1001), P("sin(t)"))))
+    runs.append((still, canonical(still, 1001, P("sin(t)"))))
     quadratic = build_family_normalized(P("t^2"), P("0"), (-1.0, 1.0))
     runs.append((quadratic, canonical(quadratic)))
     for g in ("t^2", "t^3", "exp(t)"):
@@ -235,7 +247,7 @@ def test_criterion_7ii_tangency_residual():
     details = []
     for family, creator in _creative_runs():
         curve = sample_envelope(family, creator, 8001)
-        report = verify_envelope(curve, family)
+        report = verify_envelope(curve)
         ok = ok and report.passed
         details.append(f"{family.mode}:{report.max_tangency_residual:.1e}")
     check("criterion 7(ii): tangency residual", ok, ", ".join(details))
@@ -256,11 +268,13 @@ def test_criterion_7iii_jet_versus_finite_differences():
 def test_criterion_7iv_antipodal_invariance():
     family = sine_tangent_family()
     flipped = build_family_general(P("cos t"), P("-1"), P("-(t*cos t - sin t)"), (-10.0, 10.0))
-    report_a = assess_creativity(family, 1001)
-    report_b = assess_creativity(flipped, 1001)
+    scan_a, singulars_a = scan_and_singulars(family, 1001)
+    scan_b, singulars_b = scan_and_singulars(flipped, 1001)
+    report_a = assess_creativity(scan_a, singulars_a)
+    report_b = assess_creativity(scan_b, singulars_b)
     verdict_ok = report_a.verdict == report_b.verdict
-    creator_a = build_creator(family, report_a)
-    creator_b = build_creator(flipped, report_b)
+    creator_a = build_creator(scan_a, report_a)
+    creator_b = build_creator(scan_b, report_b)
     curve_a = sample_envelope(family, creator_a, 1001)
     curve_b = sample_envelope(flipped, creator_b, 1001)
     worst = max(

@@ -37,7 +37,7 @@ def test_classification_matches_the_loop_reference(name):
     build, grid_n = FAMILIES[name]
     family = build()
     scan = scan_grid(family, grid_n)
-    points = find_gauss_singular_points(family, grid_n, scan)
+    points = find_gauss_singular_points(scan)
     assert_classified_as_reference(points, family, scan.scale_theta)
 
 

@@ -13,6 +13,7 @@ from envlines import (OutOfDomainError, UndefinedCreatorError, analyze, assess_c
                       build_family_normalized, find_gauss_singular_points, parse_expression)
 from envlines.analysis import EPS_SING, _assemble_canonical, _first_derivatives, scan_grid
 from envlines.cli import _build_family, main, parse_cli
+from conftest import scan_and_singulars
 
 SINE_TANGENT_WIDE = ["analyze", "--A", "-cos t", "--B", "1", "--C", "t*cos t - sin t",
                      "--domain", "-1000:1000"]
@@ -57,14 +58,14 @@ def _check(creator, scan, zones=None):
 def test_worked_example_creator_matches_reference(example):
     family = _build_family(parse_cli(["analyze", "--example", str(example)]))
     scan = scan_grid(family, 1001)
-    _check(assess_creativity(family, 1001, scan=scan).creator, scan)
+    _check(assess_creativity(scan, find_gauss_singular_points(scan)).creator, scan)
 
 
 def test_undefined_creator_matches_reference(sine_evolute):
     # every point unresolved: the error names the nearest one, as the reference does
     scan = scan_grid(sine_evolute, 1001)
-    singulars = find_gauss_singular_points(sine_evolute, 1001, scan)
-    _check(_assemble_canonical(sine_evolute, 1001, scan, singulars, []), scan)
+    singulars = find_gauss_singular_points(scan)
+    _check(_assemble_canonical(scan, singulars, []), scan)
 
 
 def test_wide_creator_matches_reference():
@@ -72,7 +73,7 @@ def test_wide_creator_matches_reference():
     # so it is checked around the first 64
     family = _build_family(parse_cli(SINE_TANGENT_WIDE))
     scan = scan_grid(family, 10001)
-    creator = assess_creativity(family, 10001, scan=scan).creator
+    creator = assess_creativity(scan, find_gauss_singular_points(scan)).creator
     assert len(creator.resolved) == 637
     _check(creator, scan, zones=64)
 
@@ -89,7 +90,7 @@ def _sine_cubed():
     (_build_family(parse_cli(SINE_TANGENT_WIDE)), 10001),
 ])
 def test_series_meets_the_quotient_at_each_zone_edge(family, grid_n):
-    creator = assess_creativity(family, grid_n).creator
+    creator = assess_creativity(*scan_and_singulars(family, grid_n)).creator
     edges = 0
     for point in creator.resolved:
         for d in (-point.radius, point.radius):
@@ -114,7 +115,7 @@ def test_series_meets_the_quotient_at_each_zone_edge(family, grid_n):
 ])
 def test_creator_is_exact_where_the_gauss_map_stalls(family, grid_n, exact):
     # a linear blend toward b_limit was off by 6.0e-5, 1.9e-4 and 5.1e-3 here
-    creator = assess_creativity(family, grid_n).creator
+    creator = assess_creativity(*scan_and_singulars(family, grid_n)).creator
     ts = np.linspace(*family.domain, 4 * (max(grid_n, 1001) - 1) + 1)
     assert np.max(np.abs(creator(ts) - exact(ts))) <= 1e-11
 

@@ -16,11 +16,12 @@ from envlines import (
     build_family_normalized,
     analyze,
     compare_methods,
-    find_gauss_singular_points,
     parse_expression,
     sample_discriminant,
+    sample_envelope,
 )
 from envlines.analysis import scan_grid
+from conftest import scan_and_singulars
 from envlines.cli import main
 from envlines.family import DegenerateFamilyError
 from exprgen import gentle_expression
@@ -70,7 +71,7 @@ class TestDiscriminantAt:
 
 class TestSampleDiscriminant:
     def test_sine_tangent_pollution(self, sine_tangent):
-        disc = sample_discriminant(sine_tangent, 1001)
+        disc = sample_discriminant(*scan_and_singulars(sine_tangent, 1001))
         assert len(disc.polluted_lines) == 7
         for (t, line), k in zip(disc.polluted_lines, range(-3, 4)):
             assert abs(t - k * math.pi) <= 1e-9
@@ -82,33 +83,34 @@ class TestSampleDiscriminant:
                 assert line_residual(line, 1.0, k * math.pi - 1.0) <= 1e-9
 
     def test_sine_tangent_cloud_traces_sine(self, sine_tangent):
-        disc = sample_discriminant(sine_tangent, 1001)
+        disc = sample_discriminant(*scan_and_singulars(sine_tangent, 1001))
         assert len(disc.point_cloud) >= 1000
         for x, y in disc.point_cloud:
             assert abs(y - math.sin(x)) <= 1e-9
 
     def test_clairaut_pure_point_cloud(self, clairaut_parabola):
-        disc = sample_discriminant(clairaut_parabola, 401)
+        disc = sample_discriminant(*scan_and_singulars(clairaut_parabola, 401))
         assert disc.polluted_lines == ()
         for x, y in disc.point_cloud:
             assert abs(y - (-x * x / 4.0)) <= 1e-9
 
     def test_still_family_all_whole_line(self, still_family):
-        disc = sample_discriminant(still_family, 101)
+        disc = sample_discriminant(*scan_and_singulars(still_family, 101))
         assert all(sl.kind == "whole_line" for sl in disc.slices)
         assert disc.point_cloud == ()
 
     def test_slices_ordered(self, sine_tangent):
-        disc = sample_discriminant(sine_tangent, 101)
+        disc = sample_discriminant(*scan_and_singulars(sine_tangent, 101))
         ts = [sl.t for sl in disc.slices]
         assert ts == sorted(ts)
 
 
 class TestCompareMethods:
     def test_sine_tangent_widespread_fails_at_singular_parameters(self, sine_tangent):
-        report = assess_creativity(sine_tangent, 1001)
-        creator = build_creator(sine_tangent, report)
-        cmp = compare_methods(sine_tangent, creator, 1001)
+        scan, singulars = scan_and_singulars(sine_tangent, 1001)
+        creator = build_creator(scan, assess_creativity(scan, singulars))
+        cmp = compare_methods(creator, sample_discriminant(scan, singulars),
+                              sample_envelope(sine_tangent, creator, 1001, scan))
         assert not cmp.widespread_ok
         assert len(cmp.failure_ts) == 7
         for t, expected in zip(cmp.failure_ts, KPI):
@@ -116,17 +118,19 @@ class TestCompareMethods:
         assert "fails" in cmp.narrative
 
     def test_clairaut_widespread_works(self, clairaut_parabola):
-        report = assess_creativity(clairaut_parabola, 1001)
-        creator = build_creator(clairaut_parabola, report)
-        cmp = compare_methods(clairaut_parabola, creator, 1001)
+        scan, singulars = scan_and_singulars(clairaut_parabola, 1001)
+        creator = build_creator(scan, assess_creativity(scan, singulars))
+        cmp = compare_methods(creator, sample_discriminant(scan, singulars),
+                              sample_envelope(clairaut_parabola, creator, 1001, scan))
         assert cmp.widespread_ok
         assert cmp.failure_ts == ()
         assert "non-singular" in cmp.narrative
 
     def test_quadratic_angle_fails_only_at_zero(self, quadratic_angle):
-        report = assess_creativity(quadratic_angle, 1001)
-        creator = build_creator(quadratic_angle, report)
-        cmp = compare_methods(quadratic_angle, creator, 1001)
+        scan, singulars = scan_and_singulars(quadratic_angle, 1001)
+        creator = build_creator(scan, assess_creativity(scan, singulars))
+        cmp = compare_methods(creator, sample_discriminant(scan, singulars),
+                              sample_envelope(quadratic_angle, creator, 1001, scan))
         assert not cmp.widespread_ok
         assert len(cmp.failure_ts) == 1 and abs(cmp.failure_ts[0]) <= 1e-9
         # the exact parametrization still gives the correct envelope there
@@ -136,9 +140,9 @@ class TestCompareMethods:
 
 class TestInvariants:
     def test_envelope_contained_in_discriminant(self, sine_tangent):
-        report = assess_creativity(sine_tangent, 1001)
-        creator = build_creator(sine_tangent, report)
-        disc = sample_discriminant(sine_tangent, 1001)
+        scan, singulars = scan_and_singulars(sine_tangent, 1001)
+        creator = build_creator(scan, assess_creativity(scan, singulars))
+        disc = sample_discriminant(scan, singulars)
         from envlines import envelope_point
         for sl in disc.slices:
             if sl.kind != "point":
@@ -148,10 +152,11 @@ class TestInvariants:
             assert abs(sl.point[1] - expected[1]) <= 1e-9
 
     def test_failure_locus_equals_singular_locus(self, sine_tangent):
-        report = assess_creativity(sine_tangent, 1001)
-        creator = build_creator(sine_tangent, report)
-        failures = compare_methods(sine_tangent, creator, 1001).failure_ts
-        singulars = [p.t for p in find_gauss_singular_points(sine_tangent, 1001)]
+        scan, points = scan_and_singulars(sine_tangent, 1001)
+        creator = build_creator(scan, assess_creativity(scan, points))
+        failures = compare_methods(creator, sample_discriminant(scan, points),
+                                   sample_envelope(sine_tangent, creator, 1001, scan)).failure_ts
+        singulars = [p.t for p in points]
         assert len(failures) == len(singulars)
         for a, b in zip(failures, singulars):
             assert abs(a - b) <= 1e-10
@@ -168,13 +173,13 @@ class TestMergeRule:
     @pytest.mark.parametrize("offset", [4e-13, -4e-13, 0.0])
     def test_singular_next_to_a_grid_point_is_the_grid_point(self, quadratic_angle, offset):
         singular = SingularPoint(offset, 2, 0.0, True, 0.0)
-        disc = sample_discriminant(quadratic_angle, 1001, (singular,))
+        disc = sample_discriminant(scan_grid(quadratic_angle, 1001), (singular,))
         assert disc.ts.tolist() == np.linspace(-1.0, 1.0, 1001).tolist()
         assert disc.slices[500] == discriminant_at(quadratic_angle, 0.0)
 
     def test_singular_between_grid_points_is_inserted(self, quadratic_angle):
         singular = SingularPoint(0.0005, 2, 0.0, True, 0.0)
-        disc = sample_discriminant(quadratic_angle, 1001, (singular,))
+        disc = sample_discriminant(scan_grid(quadratic_angle, 1001), (singular,))
         assert disc.ts.size == 1002 and disc.ts[501] == 0.0005
         assert np.all(np.diff(disc.ts) > 0.0)
 
@@ -207,7 +212,7 @@ _FAMILY_BUILDERS = {
 def _assert_matches_reference(family, n, singulars):
     scan = scan_grid(family, n)
     expected = discriminant_reference.sample_discriminant(family, scan, singulars)
-    disc = sample_discriminant(family, n, singulars, scan)
+    disc = sample_discriminant(scan, singulars)
     assert repr(disc.slices) == repr(expected)  # repr: the same bits, -0.0 and NaN included
     assert disc.point_cloud == tuple(sl.point for sl in expected if sl.kind == "point")
     assert disc.polluted_lines == tuple((sl.t, sl.line) for sl in expected
@@ -217,9 +222,8 @@ def _assert_matches_reference(family, n, singulars):
 def _off_grid_singulars(family, n):
     """The singular points, or None when one lies next to a grid point: the
     merge rule differs from the reference only there."""
-    grid = scan_grid(family, n).ts
-    singulars = find_gauss_singular_points(family, n)
-    return None if any(_near_grid(grid, p.t, 2e-12) for p in singulars) else singulars
+    scan, singulars = scan_and_singulars(family, n)
+    return None if any(_near_grid(scan.ts, p.t, 2e-12) for p in singulars) else singulars
 
 
 @pytest.mark.parametrize("name", ["sine_tangent", "sine_evolute", "still_family",

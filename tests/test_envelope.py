@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from envlines import (
+    CreatorFunction,
     EnvelopeCurve,
     TooFewSamplesError,
     assess_creativity,
@@ -15,12 +16,14 @@ from envlines import (
     verify_envelope,
 )
 from envlines.analysis import parameter_grid
+from conftest import scan_and_singulars
 
 P = parse_expression
 
 
 def canonical_creator(family, grid_n=1001):
-    return build_creator(family, assess_creativity(family, grid_n), None)
+    scan, singulars = scan_and_singulars(family, grid_n)
+    return build_creator(scan, assess_creativity(scan, singulars), None)
 
 
 class TestEnvelopePoint:
@@ -71,27 +74,19 @@ class TestSampleEnvelope:
         ts = [p.t for p in curve.samples]
         assert all(u < v for u, v in zip(ts, ts[1:]))
 
-    def test_provenance_tokens_are_stable(self, sine_tangent):
-        creator = canonical_creator(sine_tangent)
-        a = sample_envelope(sine_tangent, creator, 16)
-        b = sample_envelope(sine_tangent, creator, 32)
-        assert a.family_id == b.family_id
-        assert a.creator_id == b.creator_id
-
 
 class TestVerifyEnvelope:
     def test_sine_tangent_passes(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 4001)
-        report = verify_envelope(curve, sine_tangent)
+        report = verify_envelope(curve)
         assert report.passed
         assert report.max_membership_residual <= 1e-12
 
     def test_corrupted_curve_fails_with_predicted_residual(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)
         shifted = EnvelopeCurve(curve.ts, curve.points + (0.0, 0.1), curve.nus,
-                                curve.b_values, curve.offsets, curve.family_id,
-                                curve.creator_id)
-        report = verify_envelope(shifted, sine_tangent)
+                                curve.b_values, curve.offsets)
+        report = verify_envelope(shifted)
         assert not report.passed
         # the offset (0, 0.1) projects onto nu as 0.1 sin(theta) = 0.1/sqrt(cos^2 t + 1)
         expected = max(0.1 / math.sqrt(math.cos(p.t) ** 2 + 1.0) for p in curve.samples)
@@ -99,34 +94,35 @@ class TestVerifyEnvelope:
         assert 0.1 / math.sqrt(2.0) <= report.max_membership_residual <= 0.1 + 1e-12
 
     def test_still_family_user_envelope_passes(self, still_family):
-        report = assess_creativity(still_family, 1001)
-        creator = build_creator(still_family, report, P("sin(t)"))
+        scan, singulars = scan_and_singulars(still_family, 1001)
+        report = assess_creativity(scan, singulars)
+        creator = build_creator(scan, report, P("sin(t)"))
         curve = sample_envelope(still_family, creator, 1001)
         for p in curve.samples:
             assert p.point == (0.0, math.sin(p.t))
-        assert verify_envelope(curve, still_family).passed
+        assert verify_envelope(curve).passed
 
     def test_too_few_samples(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 4)
         with pytest.raises(TooFewSamplesError):
-            verify_envelope(curve, sine_tangent)
+            verify_envelope(curve)
 
     def test_undefined_creator_propagates_offending_parameter(self, parallel_shift):
-        from envlines import UndefinedCreatorError, find_gauss_singular_points
-        from envlines.analysis import _assemble_canonical, scan_grid
-        singulars = find_gauss_singular_points(parallel_shift, 1001)
-        creator = _assemble_canonical(parallel_shift, 1001, scan_grid(parallel_shift, 1001),
-                                      singulars, [])
+        from envlines import UndefinedCreatorError
+        from envlines.analysis import _assemble_canonical
+        scan, singulars = scan_and_singulars(parallel_shift, 1001)
+        creator = _assemble_canonical(scan, singulars, [])
         with pytest.raises(UndefinedCreatorError) as err:
-            sample_envelope(parallel_shift, lambda t: creator(t), 5)
+            sample_envelope(parallel_shift, creator, 5)
         assert -1.0 <= err.value.t <= 1.0
 
     def test_wrong_creator_breaks_tangency(self, rotating_pencil):
-        # with b replaced by b + 1 the tangency defect is E'.nu = -theta',
-        # so the residual is bounded below by min |theta'| over the interior
-        good = canonical_creator(rotating_pencil)
-        curve = sample_envelope(rotating_pencil, lambda t: good(t) + 1.0, 201)
-        report = verify_envelope(curve, rotating_pencil)
+        # the pencil's creator is b = 0; with b = 1 in its place the tangency
+        # defect is E'.nu = -theta', so the residual is bounded below by
+        # min |theta'| over the interior
+        wrong = CreatorFunction(rotating_pencil, 1001, 1.0, (), (), (), user_expr=P("1"))
+        curve = sample_envelope(rotating_pencil, wrong, 201)
+        report = verify_envelope(curve)
         assert not report.passed
         assert report.max_tangency_residual >= 1.0 * (1.0 - 1e-3)
 
@@ -134,7 +130,7 @@ class TestVerifyEnvelope:
             self, sine_tangent, clairaut_parabola, unit_hedgehog):
         for family in (sine_tangent, clairaut_parabola, unit_hedgehog):
             curve = sample_envelope(family, canonical_creator(family), 4001)
-            report = verify_envelope(curve, family)
+            report = verify_envelope(curve)
             assert report.passed
 
 

@@ -74,7 +74,8 @@ def test_derivative_scales_once_per_run(passes, argv):
     # scales, the L'Hopital classification and b's series share one order-6
     # pass: the 129-point scale grid, then the singular parameters; no
     # parameter is evaluated on its own
-    points = analysis.find_gauss_singular_points(_build_family(parse_cli(argv)), 1001)
+    family = _build_family(parse_cli(argv))
+    points = analysis.find_gauss_singular_points(analysis.scan_grid(family, 1001))
     passes.clear()
     _run(argv)
     assert [size for size, order in passes if order == analysis.SERIES_ORDER] == [
@@ -100,7 +101,7 @@ def test_wide_creative_run_makes_no_scalar_jet_call(passes):
 def test_singular_point_search_pass_sequence(passes, example, sequence):
     family = _build_family(parse_cli(["analyze", "--example", str(example)]))
     passes.clear()
-    analysis.find_gauss_singular_points(family, 1001)
+    analysis.find_gauss_singular_points(analysis.scan_grid(family, 1001))
     assert passes == sequence
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlines import analysis, family as family_module
-from envlines.analysis import LOOKAHEAD_POINTS, _refine, find_gauss_singular_points
+from envlines.analysis import LOOKAHEAD_POINTS, _refine, find_gauss_singular_points, scan_grid
 from envlines.cli import WORKED_EXAMPLES, _build_family, main, parse_cli
 from envlines.expr import ExpressionDomainError
 from refinement_reference import bisect_root, minimize_abs, theta_prime
@@ -127,7 +127,7 @@ def test_singular_search_makes_few_jet_passes(pass_sizes):
     family = _build_family(parse_cli(["analyze", "--A", "1", "--B", "cos t",
                                       "--C", "-t - cos t*sin t", "--domain", "-1000:1000"]))
     pass_sizes.clear()
-    points = find_gauss_singular_points(family, 10001)
+    points = find_gauss_singular_points(scan_grid(family, 10001))
     assert len(points) == 637     # theta' = 0 at every multiple of pi
     assert len(pass_sizes) <= 50  # one step per pass took 76, bracket by bracket 24,959
 
@@ -164,14 +164,14 @@ def test_off_path_point_outside_the_domain(pass_sizes):
 
 
 def test_example_1_search_makes_few_jet_passes(pass_sizes):
-    find_gauss_singular_points(_FAMILIES[1], 1001)
+    find_gauss_singular_points(scan_grid(_FAMILIES[1], 1001))
     assert len(pass_sizes) <= 20  # one step per pass took 70
 
 
 @pytest.mark.parametrize("example", [2, 3, 4, 7])
 def test_no_pass_over_an_empty_array(pass_sizes, example):
     # these examples have nothing to bisect or to search
-    find_gauss_singular_points(_FAMILIES[example], 1001)
+    find_gauss_singular_points(scan_grid(_FAMILIES[example], 1001))
     assert 0 not in pass_sizes
 
 
