@@ -28,6 +28,7 @@ from .analysis import (
     SingularPoint,
     UndefinedCreatorError,
     UniquenessVerdict,
+    UserCreator,
     assess_creativity,
     assess_uniqueness,
     build_creator,
@@ -62,7 +63,6 @@ from .expr import (
 )
 from .family import (
     DegenerateFamilyError,
-    GaussDerivativeSample,
     LineCoefficients,
     LineFamily,
     OutOfDomainError,
@@ -70,7 +70,6 @@ from .family import (
     build_family_general,
     build_family_hedgehog,
     build_family_normalized,
-    gauss_sample,
     line_at,
 )
 from .jets import Jet, JetDomainError
@@ -83,28 +82,28 @@ _VERIFY_FLOOR_N = 1001
 
 @_dataclass(frozen=True, eq=False)
 class Analysis:
-    """Everything one run concluded, built from one scan of the analysis grid;
-    the document, the CSV and JSON exports and the figure are views of it.
-    A creative run whose envelope fails verification is ``inconclusive``; it
-    keeps its creator, envelope and failed check as evidence, unless the
-    creator has no value somewhere on the verification grid."""
+    """Everything one run concluded, built from one scan of the analysis grid,
+    which holds the family; the document, the CSV and JSON exports and the
+    figure are views of it.  A creative run whose envelope fails verification
+    is ``inconclusive``; it keeps its creator, envelope and failed check as
+    evidence, unless the creator has no value somewhere on the verification
+    grid."""
 
-    family: LineFamily
     scan: analysis.GridScan
     singulars: tuple[SingularPoint, ...]
     creativity: CreativityReport
     uniqueness: UniquenessVerdict
     creator: CreatorFunction | None
     envelope: EnvelopeCurve | None
-    verification: dict | None
+    verification: VerificationReport | None
     discriminant: DiscriminantSet
-    comparison: dict | None
+    comparison: ComparisonReport | None
 
     def slice_at(self, t: float) -> SliceSolution:
         """The t-slice of the discriminant set, classified with the run's scales."""
-        self.family.require_in_domain(t)
+        self.scan.family.require_in_domain(t)
         ts = np.array([float(t)])
-        return discriminant._classify(ts, *analysis.first_order(self.family, ts),
+        return discriminant._classify(ts, *analysis.first_order(self.scan.family, ts),
                                       self.scan.scale_theta, self.scan.scale_a).slices[0]
 
 
@@ -116,7 +115,7 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
     scan = scan_grid(family, grid_n)
     singulars = find_gauss_singular_points(scan)
     report = assess_creativity(scan, singulars)
-    result = Analysis(family, scan, singulars, report, assess_uniqueness(scan),
+    result = Analysis(scan, singulars, report, assess_uniqueness(scan),
                       None, None, None, sample_discriminant(scan, singulars), None)
     if report.verdict != CREATIVE:
         return result
@@ -128,21 +127,11 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
     except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed
         return _replace(result, creativity=analysis.mark_unverified(
             report, f"envelope verification failed at n = {fine_n}: {err}"))
-    result = _replace(result, creator=creator, envelope=curve, verification={
-        "n": fine_n,
-        "max_membership_residual": check.max_membership_residual,
-        "max_tangency_residual": check.max_tangency_residual,
-        "pass": check.passed,
-    })
+    result = _replace(result, creator=creator, envelope=curve, verification=check)
     if not check.passed:
         return _replace(result, creativity=analysis.mark_unverified(
             report, f"envelope verification failed at n = {fine_n}: {check.failure}"))
-    comparison = compare_methods(creator, result.discriminant, curve)
-    return _replace(result, comparison={
-        "widespread_ok": comparison.widespread_ok,
-        "failure_ts": list(comparison.failure_ts),
-        "narrative": comparison.narrative,
-    })
+    return _replace(result, comparison=compare_methods(creator, result.discriminant, curve))
 
 
 # the public API is every name imported or defined above

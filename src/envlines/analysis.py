@@ -117,6 +117,7 @@ class GridScan:
     scale_theta: float
     scale_a: float
     cell: float        # nominal cell (domain length / grid_n), used in tolerances
+    step: float        # spacing of the grid points (domain length / (grid_n - 1))
     delta_flat: float  # minimum span of a run of singular cells to call it flat
     runs: tuple[tuple[int, int], ...]       # maximal index runs [start, end] of banded theta'
     flat_runs: tuple[tuple[int, int], ...]  # the runs that span at least delta_flat
@@ -136,14 +137,15 @@ def scan_grid(family: LineFamily, grid_n: int) -> GridScan:
     scale_theta = float(np.max(np.abs(tp))) or 1.0
     scale_a = float(np.max(np.abs(ap))) or 1.0
     cell = (family.domain[1] - family.domain[0]) / grid_n
+    step = (family.domain[1] - family.domain[0]) / (grid_n - 1)
     delta_flat = cell * max(3.0, grid_n / 100.0)
     edges = np.flatnonzero(np.diff(np.abs(tp) <= EPS_SING * scale_theta,
                                    prepend=False, append=False))
     runs = tuple(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
     flat_runs = tuple(run for run in runs
                       if ts[run[1]] - ts[run[0]] >= delta_flat * (1.0 - 1e-9))
-    return GridScan(family, ts, c, s, a, tp, ap, scale_theta, scale_a, cell, delta_flat,
-                    runs, flat_runs)
+    return GridScan(family, ts, c, s, a, tp, ap, scale_theta, scale_a, cell, step,
+                    delta_flat, runs, flat_runs)
 
 
 def first_order(family: LineFamily, t):
@@ -359,7 +361,7 @@ def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
     order = np.argsort(every[keep], kind="stable")
     candidates, size = every[keep][order].tolist(), size[keep][order].tolist()
 
-    merge_radius = 0.5 * (family.domain[1] - family.domain[0]) / (ts.size - 1)
+    merge_radius = 0.5 * scan.step
     accepted: list[int] = []  # indices into candidates
     for k, t0 in enumerate(candidates):
         if accepted and t0 - candidates[accepted[-1]] <= merge_radius:
@@ -386,38 +388,29 @@ def assess_uniqueness(scan: GridScan) -> UniquenessVerdict:
 # -- creator --------------------------------------------------------------------
 
 class CreatorFunction:
-    """Evaluation recipe for b(t): the plain quotient a'/theta' away from
-    singular parameters, b's Taylor series near resolved ones, constant
-    fills on flat intervals, or a validated user expression overriding
-    everything."""
+    """Evaluation recipe for b(t) on the run's scan: the plain quotient
+    a'/theta' away from singular parameters, b's Taylor series near resolved
+    ones, and constant fills on flat intervals.  ``UserCreator`` evaluates a
+    validated user expression instead."""
 
-    def __init__(self, family: LineFamily, grid_n: int, scale_theta: float,
-                 resolved: tuple[SingularPoint, ...],
+    kind = "canonical"
+
+    def __init__(self, scan: GridScan, resolved: tuple[SingularPoint, ...],
                  unresolved_ts: tuple[float, ...],
-                 flat_intervals: tuple[tuple[float, float, float], ...],
-                 user_expr: ExpressionAst | None = None):
-        self.family = family
-        self.grid_n = grid_n
-        self.scale_theta = scale_theta
+                 flat_intervals: tuple[tuple[float, float, float], ...]):
+        self.scan = scan
         self.resolved = resolved            # sorted by t, each with its series and radius
         self.unresolved_ts = unresolved_ts
         self.flat_intervals = flat_intervals  # (lo, hi, fill value)
-        self.user_expr = user_expr
-        self._user_program = JetProgram((user_expr,)) if user_expr is not None else None
-
-    @property
-    def kind(self) -> str:
-        return "user" if self.user_expr is not None else "canonical"
 
     def __call__(self, t):
         """b at t, a float or a 1-d array of parameters in the family's domain."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.family.domain
+        family = self.scan.family
+        lo, hi = family.domain
         for u in ts[(ts < lo) | (ts > hi)].tolist():
-            self.family.require_in_domain(u)  # the first past the slack raises
-        if self.user_expr is not None:
-            return evaluate_jet(self._user_program, t, 0)[0].value
-        b = self.on_grid(ts, *_first_derivatives(self.family, ts))
+            family.require_in_domain(u)  # the first past the slack raises
+        b = self.on_grid(ts, *_first_derivatives(family, ts))
         return b if isinstance(t, np.ndarray) else float(b[0])
 
     def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
@@ -427,10 +420,8 @@ class CreatorFunction:
         first flat interval holding it; within the radius of the nearest
         resolved point, b's series there; the plain quotient where theta' is
         outside the band; the fill of the nearest flat interval within one
-        cell (flat bounds are grid-resolution).  The first parameter left
-        over raises."""
-        if self.user_expr is not None:
-            return self(ts)
+        grid step (flat bounds are grid-resolution).  The first parameter
+        left over raises."""
         b = np.empty(ts.shape)
         todo = np.ones(ts.shape, dtype=bool)
         for lo, hi, fill in self.flat_intervals:
@@ -454,14 +445,13 @@ class CreatorFunction:
                     value = value * dt + coeff
                 b[zone] = value
                 todo &= ~zone
-            plain = todo & (np.abs(tp) > EPS_SING * self.scale_theta)
+            plain = todo & (np.abs(tp) > EPS_SING * self.scan.scale_theta)
             b[plain] = ap[plain] / tp[plain]
             todo &= ~plain
         if todo.any() and self.flat_intervals:
             lo, hi, fill = (np.array(column)[:, None] for column in zip(*self.flat_intervals))
             gap = np.maximum(np.maximum(lo - ts[todo], ts[todo] - hi), 0.0)
-            cell = (self.family.domain[1] - self.family.domain[0]) / (self.grid_n - 1)
-            near = gap.min(axis=0) <= cell
+            near = gap.min(axis=0) <= self.scan.step
             extend = np.flatnonzero(todo)[near]
             b[extend] = fill[np.argmin(gap, axis=0)[near], 0]  # the first nearest interval
             todo[extend] = False
@@ -472,10 +462,26 @@ class CreatorFunction:
         return b
 
     def __repr__(self) -> str:
-        if self.user_expr is not None:
-            return f"CreatorFunction(user {unparse(self.user_expr)!r})"
         return (f"CreatorFunction(canonical, {len(self.resolved)} resolved singular, "
                 f"{len(self.flat_intervals)} flat)")
+
+
+class UserCreator(CreatorFunction):
+    """A user expression for b, which ``build_creator`` validates on the scan."""
+
+    kind = "user"
+
+    def __init__(self, scan: GridScan, expr: ExpressionAst):
+        super().__init__(scan, (), (), ())
+        self.expr = expr
+        self._program = JetProgram((expr,))
+
+    def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
+        """The expression at the parameters ts; theta' and a' play no part."""
+        return evaluate_jet(self._program, ts, 0)[0].value
+
+    def __repr__(self) -> str:
+        return f"UserCreator({unparse(self.expr)!r})"
 
 
 def _flat_fills(scan: GridScan) -> list[tuple[float, float, float]]:
@@ -495,8 +501,7 @@ def _flat_fills(scan: GridScan) -> list[tuple[float, float, float]]:
 
 def _assemble_canonical(scan: GridScan, isolated: tuple[SingularPoint, ...],
                         fills: list[tuple[float, float, float]]) -> CreatorFunction:
-    return CreatorFunction(scan.family, scan.grid_n, scan.scale_theta,
-                           tuple(p for p in isolated if p.resolvable),
+    return CreatorFunction(scan, tuple(p for p in isolated if p.resolvable),
                            tuple(p.t for p in isolated if not p.resolvable), tuple(fills))
 
 
@@ -504,14 +509,6 @@ def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,
                     ap: np.ndarray) -> np.ndarray:
     """Normalized residuals of a' = b theta' at ts, where theta' and a' are tp and ap."""
     return np.abs(ap - creator.on_grid(ts, tp, ap) * tp) / (1.0 + np.abs(ap))
-
-
-def star_residual(family: LineFamily, creator: CreatorFunction,
-                  ts: np.ndarray) -> tuple[float, float]:
-    """Max normalized residual of a' = b theta' over ts, with its location."""
-    res = _star_residuals(creator, ts, *_first_derivatives(family, ts))
-    worst = int(np.argmax(res))
-    return float(res[worst]), float(ts[worst])
 
 
 # -- creativity -----------------------------------------------------------------
@@ -623,21 +620,22 @@ def mark_unverified(report: CreativityReport, failure: str) -> CreativityReport:
 
 def build_creator(scan: GridScan, report: CreativityReport,
                   user_b: ExpressionAst | None = None) -> CreatorFunction:
-    """The canonical creator from the scan's report, or a user override
-    validated on the scan."""
+    """The canonical creator from the scan's report, or a ``UserCreator``
+    for ``user_b`` validated on the scan."""
     if report.verdict != CREATIVE:
         raise ValueError(f"cannot build a creator for a {report.verdict} family")
     assert report.creator is not None
     if user_b is None:
         return report.creator
-    creator = CreatorFunction(scan.family, scan.grid_n, scan.scale_theta, (), (), (),
-                              user_expr=user_b)
+    creator = UserCreator(scan, user_b)
     ts, tp, ap = scan.ts, scan.theta_prime, scan.a_prime
     try:
         res = _star_residuals(creator, ts, tp, ap)
     except ExpressionDomainError as err:
         # b leaves its domain at err.t: the relation is checked up to there
         keep = ts < err.t
+        if not keep.any():  # at the first grid point, with nothing before it
+            raise
         ts, tp, ap = ts[keep], tp[keep], ap[keep]
         res = _star_residuals(creator, ts, tp, ap)
         if not np.any(res > EPS_STAR):

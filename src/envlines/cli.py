@@ -37,6 +37,7 @@ from .analysis import (
     SingularPoint,
     grid_profile,
 )
+from .discriminant import ComparisonReport
 from .expr import MAX_NESTING, ExpressionDomainError, ParseError, parse_expression
 from .family import DegenerateFamilyError, LineFamily, OutOfDomainError
 
@@ -394,9 +395,17 @@ def _header(config: RunConfig, family: LineFamily, *omit: str) -> dict:
             "config": {key: value for key, value in block.items() if key not in omit}}
 
 
+def _comparison_entry(comparison: ComparisonReport) -> dict:
+    return {
+        "widespread_ok": comparison.widespread_ok,
+        "failure_ts": list(comparison.failure_ts),
+        "narrative": comparison.narrative,
+    }
+
+
 def build_document(config: RunConfig, result: Analysis) -> dict:
     """The analysis document: everything the pipeline concluded, serializable."""
-    family = result.family
+    family = result.scan.family
     profile = grid_profile(result.scan)
     doc = _header(config, family)
     doc["tolerances"] = {
@@ -442,9 +451,15 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
     else:
         doc["creator"] = None
     if curve is not None:
+        check = result.verification
         doc["envelope"] = {
             "samples": np.column_stack((curve.ts, curve.points)).tolist(),
-            "verification": result.verification,
+            "verification": {
+                "n": check.n,
+                "max_membership_residual": check.max_membership_residual,
+                "max_tangency_residual": check.max_tangency_residual,
+                "pass": check.passed,
+            },
         }
     else:
         doc["envelope"] = None
@@ -460,7 +475,7 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
             for t, line in disc.polluted_lines
         ],
     }
-    doc["comparison"] = result.comparison
+    doc["comparison"] = None if result.comparison is None else _comparison_entry(result.comparison)
     return doc
 
 
@@ -489,7 +504,7 @@ def run_export(config: RunConfig, result: Analysis) -> str:
 
 def _envelope_json(config: RunConfig, result: Analysis) -> dict:
     assert result.envelope is not None
-    doc = _header(config, result.family, "command")
+    doc = _header(config, result.scan.family, "command")
     doc["columns"] = list(_ENVELOPE_COLUMNS)
     doc["rows"] = _envelope_rows(result).tolist()
     return doc
@@ -506,7 +521,7 @@ def _discriminant_csv(result: Analysis) -> str:
 
 
 def _discriminant_json(config: RunConfig, result: Analysis) -> dict:
-    doc = _header(config, result.family, "command", "user_b")
+    doc = _header(config, result.scan.family, "command", "user_b")
     doc["slices"] = [
         {"t": sl.t, "kind": sl.kind,
          "point": None if sl.point is None else [sl.point[0], sl.point[1]],
@@ -518,7 +533,7 @@ def _discriminant_json(config: RunConfig, result: Analysis) -> dict:
 
 
 def run_plot(config: RunConfig, result: Analysis) -> str:
-    return svgplot.render_scene(result.family, result.creativity.verdict, result.envelope,
+    return svgplot.render_scene(result.scan.family, result.creativity.verdict, result.envelope,
                                 result.discriminant, tuple(p.t for p in result.singulars))
 
 
@@ -572,8 +587,8 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(
                     f"error: family is {result.creativity.verdict}; comparison needs a creator\n")
                 return _verdict_code(result.creativity.verdict)
-            doc = _header(config, result.family, "command", "user_b")
-            doc.update(result.comparison)
+            doc = _header(config, result.scan.family, "command", "user_b")
+            doc.update(_comparison_entry(result.comparison))
             _write(config, to_json(doc) + "\n")
             return EXIT_OK
         _write(config, run_plot(config, result))

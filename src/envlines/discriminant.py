@@ -144,7 +144,7 @@ def compare_methods(creator: CreatorFunction, disc: DiscriminantSet,
     off = np.flatnonzero(curve.ts[i] != ts)  # the point slices between grid points
     expected = curve.points[i]
     if off.size:
-        expected[off] = envelope_points(creator.family, creator, ts[off])[0]
+        expected[off] = envelope_points(creator.scan.family, creator, ts[off])[0]
     err = np.maximum(np.abs(disc.xs[point] - expected[:, 0]),
                      np.abs(disc.ys[point] - expected[:, 1]))
     mismatches = int(np.count_nonzero(err > MATCH_TOL))

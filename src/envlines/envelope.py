@@ -44,17 +44,10 @@ class EnvelopeCurve:
     b_values: np.ndarray
     offsets: np.ndarray
 
-    @property
-    def samples(self) -> tuple[EnvelopePoint, ...]:
-        return tuple(
-            EnvelopePoint(t, (x, y), (c, s), b)
-            for t, (x, y), (c, s), b in zip(self.ts.tolist(), self.points.tolist(),
-                                             self.nus.tolist(), self.b_values.tolist())
-        )
-
 
 @dataclass(frozen=True)
 class VerificationReport:
+    n: int  # the number of samples checked
     max_tangency_residual: float
     max_membership_residual: float
     passed: bool
@@ -74,29 +67,22 @@ class VerificationReport:
 def envelope_point(family: LineFamily, creator: CreatorFunction, t: float) -> EnvelopePoint:
     """One point of the envelope at parameter t."""
     family.require_in_domain(t)
-    c, s, a = family.coeff_jets(t, 0)
-    b = creator(float(t))
-    x = a.value * c.value - b * s.value
-    y = a.value * s.value + b * c.value
-    return EnvelopePoint(float(t), (x, y), (c.value, s.value), b)
+    points, nus, _, b = envelope_points(family, creator, np.array([float(t)]))
+    return EnvelopePoint(float(t), tuple(points[0].tolist()), tuple(nus[0].tolist()), float(b[0]))
 
 
 def envelope_points(family: LineFamily, creator: CreatorFunction, ts: np.ndarray,
                     scan: GridScan | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Points and normals (n x 2), offsets and creator values at the
-    parameters ts, read from ``scan`` (the scan at ts) or from one pass of
-    the jets: order 1 for a canonical creator, which reads theta' and a'
-    from it, order 0 otherwise.  An error of the jets, then of the creator,
-    names its first failing parameter."""
-    canonical = creator.user_expr is None
+    parameters ts, with the lines, theta' and a' read from ``scan`` (the scan
+    at ts) or from one order-1 pass of the jets.  An error of the jets, then
+    of the creator, names its first failing parameter."""
     if scan is not None:
         c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
-    elif canonical:
-        c, s, a, tp, ap = first_order(family, ts)
     else:
-        c, s, a = (j.value for j in family.coeff_jets(ts, 0))
-    b = creator.on_grid(ts, tp, ap) if canonical else creator(ts)
+        c, s, a, tp, ap = first_order(family, ts)
+    b = creator.on_grid(ts, tp, ap)
     points = np.column_stack((a * c - b * s, a * s + b * c))
     return points, np.column_stack((c, s)), a, b
 
@@ -138,4 +124,4 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     tangency_ok = (float(np.max(tangency[1:-1])) <= scale
                    and float(max(tangency[0], tangency[-1])) <= 2.0 * scale)
     passed = membership <= MEMBERSHIP_TOL and tangency_ok
-    return VerificationReport(float(np.max(tangency)), membership, passed, scale)
+    return VerificationReport(n, float(np.max(tangency)), membership, passed, scale)

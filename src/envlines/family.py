@@ -53,19 +53,6 @@ class LineCoefficients:
     offset: float
 
 
-@dataclass(frozen=True)
-class GaussDerivativeSample:
-    """Rotation and offset derivatives at one parameter value."""
-
-    t: float
-    theta_prime: float
-    a_prime: float
-    theta_double_prime: float
-    a_double_prime: float
-    theta_triple: float
-    a_triple: float
-
-
 class LineFamily:
     """Immutable normalized family; all evaluation goes through its jets.
 
@@ -214,17 +201,3 @@ def line_at(family: LineFamily, t: float) -> LineCoefficients:
     c, s, a = family.coeff_jets(t, 0)
     return LineCoefficients((c.value, s.value), a.value)
 
-
-def gauss_sample(family: LineFamily, t: float) -> GaussDerivativeSample:
-    """theta', a' and the next two derivatives of each at parameter t."""
-    family.require_in_domain(t)
-    tp, ap = family.derivative_jets(t, 3)
-    return GaussDerivativeSample(
-        t=float(t),
-        theta_prime=tp.coeffs[0],
-        a_prime=ap.coeffs[0],
-        theta_double_prime=tp.coeffs[1],
-        a_double_prime=ap.coeffs[1],
-        theta_triple=tp.coeffs[2],
-        a_triple=ap.coeffs[2],
-    )

@@ -21,17 +21,16 @@ def creator_reference(creator, t: float) -> float:
         for coeff in reversed(nearest.series):  # Horner, from the highest term
             b = b * (t - nearest.t) + coeff
         return b
-    tp, ap = _first_derivatives(creator.family, t)
-    if abs(tp) > EPS_SING * creator.scale_theta:
+    scan = creator.scan
+    tp, ap = _first_derivatives(scan.family, t)
+    if abs(tp) > EPS_SING * scan.scale_theta:
         return ap / tp
     # theta' is banded here but t missed every recorded zone: extend the
-    # nearest fill across one cell before declaring the creator undefined
+    # nearest fill across one grid step before declaring the creator undefined
     if creator.flat_intervals:
         lo, hi, fill = min(creator.flat_intervals,
                            key=lambda iv: max(iv[0] - t, t - iv[1], 0.0))
-        family = creator.family
-        cell = (family.domain[1] - family.domain[0]) / (creator.grid_n - 1)
-        if max(lo - t, t - hi, 0.0) <= cell:
+        if max(lo - t, t - hi, 0.0) <= scan.step:
             return fill
     bad = t
     if creator.unresolved_ts:

@@ -78,7 +78,8 @@ def test_criterion_1_sine_tangent_round_trip():
         for t in parameter_grid(family.domain, 1001)
     )
     env_err = max(
-        max(abs(p.point[0] - p.t), abs(p.point[1] - math.sin(p.t))) for p in curve.samples
+        max(abs(x - t), abs(y - math.sin(t)))
+        for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist())
     )
     check(
         "criterion 1: sine-tangent round trip",
@@ -121,7 +122,8 @@ def test_criterion_3_degenerate_positives():
     sine_creator = build_creator(still_scan, still_report, P("sin(t)"))
     still_curve = sample_envelope(still, sine_creator, 1001)
     still_err = max(
-        max(abs(p.point[0]), abs(p.point[1] - math.sin(p.t))) for p in still_curve.samples
+        max(abs(x), abs(y - math.sin(t)))
+        for t, (x, y) in zip(still_curve.ts.tolist(), still_curve.points.tolist())
     )
 
     quadratic = build_family_normalized(P("t^2"), P("0"), (-1.0, 1.0))
@@ -131,7 +133,7 @@ def test_criterion_3_degenerate_positives():
     quadratic_curve = sample_envelope(quadratic, build_creator(quadratic_scan, quadratic_report),
                                       1001)
     quadratic_err = max(
-        max(abs(p.point[0]), abs(p.point[1])) for p in quadratic_curve.samples
+        max(abs(x), abs(y)) for x, y in quadratic_curve.points.tolist()
     )
     check(
         "criterion 3: degenerate positives",
@@ -155,9 +157,9 @@ def test_criterion_4_clairaut_singular_solutions():
     for source, g_prime, g in cases:
         family = build_family_clairaut(P(source), (-2.0, 2.0))
         curve = sample_envelope(family, canonical(family), 1001)
-        for p in curve.samples:
-            expected = (-g_prime(p.t), g(p.t) - p.t * g_prime(p.t))
-            worst = max(worst, abs(p.point[0] - expected[0]), abs(p.point[1] - expected[1]))
+        for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist()):
+            expected = (-g_prime(t), g(t) - t * g_prime(t))
+            worst = max(worst, abs(x - expected[0]), abs(y - expected[1]))
     check("criterion 4: Clairaut singular solutions", worst <= 1e-6, f"max err={worst:.2e}")
 
 
@@ -178,7 +180,7 @@ def test_criterion_5_hedgehog_cahn_hoffman():
     cosine = build_family_hedgehog(P("cos(t)"), domain)
     curve = sample_envelope(cosine, canonical(cosine), 1001)
     point_err = max(
-        max(abs(p.point[0] - 1.0), abs(p.point[1])) for p in curve.samples
+        max(abs(x - 1.0), abs(y)) for x, y in curve.points.tolist()
     )
     check(
         "criterion 5: hedgehog Cahn-Hoffman",
@@ -236,9 +238,10 @@ def test_criterion_7i_membership_residual():
     worst = 0.0
     for family, creator in _creative_runs():
         curve = sample_envelope(family, creator, 1001)
-        for p in curve.samples:
-            _, _, a = family.coeff_jets(p.t, 0)
-            worst = max(worst, abs(p.point[0] * p.nu[0] + p.point[1] * p.nu[1] - a.value))
+        for t, (x, y), (c, s) in zip(curve.ts.tolist(), curve.points.tolist(),
+                                     curve.nus.tolist()):
+            _, _, a = family.coeff_jets(t, 0)
+            worst = max(worst, abs(x * c + y * s - a.value))
     check("criterion 7(i): membership residual", worst <= 1e-12, f"max={worst:.2e}")
 
 
@@ -278,8 +281,8 @@ def test_criterion_7iv_antipodal_invariance():
     curve_a = sample_envelope(family, creator_a, 1001)
     curve_b = sample_envelope(flipped, creator_b, 1001)
     worst = max(
-        max(abs(pa.point[0] - pb.point[0]), abs(pa.point[1] - pb.point[1]))
-        for pa, pb in zip(curve_a.samples, curve_b.samples)
+        max(abs(xa - xb), abs(ya - yb))
+        for (xa, ya), (xb, yb) in zip(curve_a.points.tolist(), curve_b.points.tolist())
     )
     check(
         "criterion 7(iv): antipodal invariance",

@@ -23,7 +23,7 @@ from envlines import (
     find_gauss_singular_points,
     parse_expression,
 )
-from envlines.analysis import _assemble_canonical, parameter_grid, scan_grid, star_residual
+from envlines.analysis import _assemble_canonical, _star_residuals, parameter_grid, scan_grid
 from conftest import scan_and_singulars, sine_b_reference
 from exprgen import gentle_expression
 
@@ -228,6 +228,16 @@ class TestBuildCreator:
             build_creator(scan, report, P("t + 0*log(0.5 - t)"))
         assert err.value.t == -1.0
 
+    def test_user_creator_leaving_its_domain_at_the_first_grid_point(self, rotating_pencil):
+        # the exponent 0/0 fails at every t, even on an empty pass: the error
+        # names the first grid point, with no prefix left to check
+        scan, singulars = scan_and_singulars(rotating_pencil, 1001)
+        report = assess_creativity(scan, singulars)
+        with pytest.raises(ExpressionDomainError) as err:
+            build_creator(scan, report, P("t^(0/0)"))
+        assert err.value.subexpr == "0.0/0.0"
+        assert err.value.t == -1.0
+
     def test_rejects_non_creative_report(self, parallel_shift):
         scan, singulars = scan_and_singulars(parallel_shift, 1001)
         report = assess_creativity(scan, singulars)
@@ -239,9 +249,10 @@ class TestProperties:
     def test_star_residual_bound_for_creative_families(
             self, sine_tangent, still_family, quadratic_angle, clairaut_parabola):
         for family in (sine_tangent, still_family, quadratic_angle, clairaut_parabola):
-            report = assess_creativity(*scan_and_singulars(family, 1001))
+            scan, singulars = scan_and_singulars(family, 1001)
+            report = assess_creativity(scan, singulars)
             assert report.verdict == CREATIVE
-            worst, _ = star_residual(family, report.creator, parameter_grid(family.domain, 1001))
+            worst = np.max(_star_residuals(report.creator, scan.ts, scan.theta_prime, scan.a_prime))
             assert worst <= 1e-6
 
     def test_nonsingular_gauss_map_implies_creative(self):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from creator_reference import creator_reference
-from envlines import (OutOfDomainError, UndefinedCreatorError, analyze, assess_creativity,
-                      build_family_normalized, find_gauss_singular_points, parse_expression)
+from envlines import (OutOfDomainError, UndefinedCreatorError, UserCreator, analyze,
+                      assess_creativity, build_creator, build_family_normalized,
+                      find_gauss_singular_points, parse_expression)
 from envlines.analysis import EPS_SING, _assemble_canonical, _first_derivatives, scan_grid
 from envlines.cli import _build_family, main, parse_cli
 from conftest import scan_and_singulars
@@ -34,7 +35,7 @@ def _probes(creator, scan, zones):
     ts += list(creator.unresolved_ts) + scan.ts[::97].tolist()
     ts = np.array(ts)
     ts = np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)))
-    lo, hi = creator.family.domain
+    lo, hi = creator.scan.family.domain
     return ts[(lo <= ts) & (ts <= hi)]  # the creator raises outside the domain
 
 
@@ -133,3 +134,33 @@ def test_creator_outside_the_domain_raises(sine_tangent):
     with pytest.raises(OutOfDomainError, match="t = -10.5 outside"):
         creator(np.array([0.0, -10.5, 12.0]))
     assert creator(np.array([-10.0, 10.0])).shape == (2,)
+
+
+def _user_creator(family, expr):
+    scan, singulars = scan_and_singulars(family, 1001)
+    report = assess_creativity(scan, singulars)
+    return report.creator, build_creator(scan, report, parse_expression(expr))
+
+
+def test_user_creator_outside_the_domain_raises(still_family):
+    # the canonical creator's domain check, with its message
+    canonical, user = _user_creator(still_family, "sin(t)")
+    assert isinstance(user, UserCreator) and user.kind == "user"
+    for t, where in ((1.5, "t = 1.5 outside"),
+                     (np.array([0.0, -1.25, 2.0]), "t = -1.25 outside")):
+        messages = []
+        for creator in (canonical, user):
+            with pytest.raises(OutOfDomainError, match=where) as err:
+                creator(t)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_user_creator_float_call_is_its_array_call(still_family):
+    _, user = _user_creator(still_family, "sin(3*t) + exp(t)/7")
+    ts = np.linspace(-1.0, 1.0, 97)
+    ts = np.concatenate((ts, np.nextafter(ts[1:-1], np.inf)))
+    floats = [user(t) for t in ts.tolist()]
+    assert all(type(b) is float for b in floats)
+    firsts = [user(np.array([t, 0.5]))[0] for t in ts.tolist()]
+    assert np.array(floats).tobytes() == np.array(firsts).tobytes() == user(ts).tobytes()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from envlines import (
-    CreatorFunction,
     EnvelopeCurve,
     TooFewSamplesError,
+    UserCreator,
     assess_creativity,
     build_creator,
     build_family_hedgehog,
@@ -15,7 +15,7 @@ from envlines import (
     sample_envelope,
     verify_envelope,
 )
-from envlines.analysis import parameter_grid
+from envlines.analysis import parameter_grid, scan_grid
 from conftest import scan_and_singulars
 
 P = parse_expression
@@ -54,24 +54,24 @@ class TestEnvelopePoint:
 class TestSampleEnvelope:
     def test_sine_tangent_traces_sine_curve(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)
-        for p in curve.samples:
-            assert abs(p.point[0] - p.t) <= 1e-6
-            assert abs(p.point[1] - math.sin(p.t)) <= 1e-6
+        for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist()):
+            assert abs(x - t) <= 1e-6
+            assert abs(y - math.sin(t)) <= 1e-6
 
     def test_clairaut_closed_form(self, clairaut_parabola):
         curve = sample_envelope(clairaut_parabola, canonical_creator(clairaut_parabola), 101)
-        for p in curve.samples:
-            assert abs(p.point[0] - (-2.0 * p.t)) <= 1e-6
-            assert abs(p.point[1] - (-p.t * p.t)) <= 1e-6
+        for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist()):
+            assert abs(x - (-2.0 * t)) <= 1e-6
+            assert abs(y - (-t * t)) <= 1e-6
 
     def test_unit_hedgehog_is_unit_circle(self, unit_hedgehog):
         curve = sample_envelope(unit_hedgehog, canonical_creator(unit_hedgehog), 361)
-        for p in curve.samples:
-            assert abs(math.hypot(*p.point) - 1.0) <= 1e-9
+        for point in curve.points.tolist():
+            assert abs(math.hypot(*point) - 1.0) <= 1e-9
 
     def test_samples_strictly_increasing(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 64)
-        ts = [p.t for p in curve.samples]
+        ts = curve.ts.tolist()
         assert all(u < v for u, v in zip(ts, ts[1:]))
 
 
@@ -89,7 +89,7 @@ class TestVerifyEnvelope:
         report = verify_envelope(shifted)
         assert not report.passed
         # the offset (0, 0.1) projects onto nu as 0.1 sin(theta) = 0.1/sqrt(cos^2 t + 1)
-        expected = max(0.1 / math.sqrt(math.cos(p.t) ** 2 + 1.0) for p in curve.samples)
+        expected = max(0.1 / math.sqrt(math.cos(t) ** 2 + 1.0) for t in curve.ts.tolist())
         assert report.max_membership_residual == pytest.approx(expected, abs=1e-12)
         assert 0.1 / math.sqrt(2.0) <= report.max_membership_residual <= 0.1 + 1e-12
 
@@ -98,8 +98,8 @@ class TestVerifyEnvelope:
         report = assess_creativity(scan, singulars)
         creator = build_creator(scan, report, P("sin(t)"))
         curve = sample_envelope(still_family, creator, 1001)
-        for p in curve.samples:
-            assert p.point == (0.0, math.sin(p.t))
+        for t, (x, y) in zip(curve.ts.tolist(), curve.points.tolist()):
+            assert (x, y) == (0.0, math.sin(t))
         assert verify_envelope(curve).passed
 
     def test_too_few_samples(self, sine_tangent):
@@ -120,7 +120,7 @@ class TestVerifyEnvelope:
         # the pencil's creator is b = 0; with b = 1 in its place the tangency
         # defect is E'.nu = -theta', so the residual is bounded below by
         # min |theta'| over the interior
-        wrong = CreatorFunction(rotating_pencil, 1001, 1.0, (), (), (), user_expr=P("1"))
+        wrong = UserCreator(scan_grid(rotating_pencil, 1001), P("1"))
         curve = sample_envelope(rotating_pencil, wrong, 201)
         report = verify_envelope(curve)
         assert not report.passed
@@ -150,5 +150,5 @@ class TestCahnHoffman:
     def test_cosine_support_degenerates_to_point(self):
         family = build_family_hedgehog(P("cos(t)"), (0.0, 2.0 * math.pi))
         curve = sample_envelope(family, canonical_creator(family), 361)
-        for p in curve.samples:
-            assert abs(p.point[0] - 1.0) <= 1e-9 and abs(p.point[1]) <= 1e-9
+        for x, y in curve.points.tolist():
+            assert abs(x - 1.0) <= 1e-9 and abs(y) <= 1e-9

@@ -11,7 +11,6 @@ from envlines import (
     build_family_general,
     build_family_normalized,
     evaluate,
-    gauss_sample,
     line_at,
     parse_expression,
 )
@@ -34,8 +33,8 @@ class TestBuilders:
         assert line.offset == 0.25  # the line X = t
 
     def test_normalized_quadratic_angle_singular_at_zero(self, quadratic_angle):
-        assert gauss_sample(quadratic_angle, 0.0).theta_prime == 0.0
-        assert gauss_sample(quadratic_angle, 0.5).theta_prime == pytest.approx(1.0)
+        assert quadratic_angle.derivative_jets(0.0, 3)[0].coeffs[0] == 0.0
+        assert quadratic_angle.derivative_jets(0.5, 3)[0].coeffs[0] == pytest.approx(1.0)
 
     def test_general_matches_sine_tangent_normalization(self, sine_tangent):
         for t in (-2.3, 0.4, 1.9):
@@ -120,34 +119,34 @@ class TestLineAt:
 class TestGaussSample:
     def test_sine_tangent_theta_prime(self, sine_tangent):
         for t in (-3.0, -0.8, 0.3, 2.4):
-            sample = gauss_sample(sine_tangent, t)
-            assert sample.theta_prime == pytest.approx(sine_theta_prime_reference(t), abs=1e-13)
+            tp, _ = sine_tangent.derivative_jets(t, 3)
+            assert tp.coeffs[0] == pytest.approx(sine_theta_prime_reference(t), abs=1e-13)
 
     def test_sine_tangent_a_prime(self, sine_tangent):
         for t in (-3.0, -0.8, 0.3, 2.4):
-            sample = gauss_sample(sine_tangent, t)
-            assert sample.a_prime == pytest.approx(sine_a_prime_reference(t), abs=1e-13)
+            _, ap = sine_tangent.derivative_jets(t, 3)
+            assert ap.coeffs[0] == pytest.approx(sine_a_prime_reference(t), abs=1e-13)
 
     def test_hedgehog_unit_rotation_rate(self, unit_hedgehog):
         for t in (0.1, 2.0, 5.5):
-            assert gauss_sample(unit_hedgehog, t).theta_prime == pytest.approx(1.0, abs=1e-12)
+            assert unit_hedgehog.derivative_jets(t, 3)[0].coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_clairaut_rotation_rate(self, clairaut_parabola):
         # theta' = 1/(t^2+1) > 0: the Gauss map is nowhere singular
         for t in (-1.7, 0.0, 0.9):
-            sample = gauss_sample(clairaut_parabola, t)
-            assert sample.theta_prime == pytest.approx(1.0 / (t * t + 1.0), abs=1e-14)
-            assert sample.theta_prime > 0.0
+            tp, _ = clairaut_parabola.derivative_jets(t, 3)
+            assert tp.coeffs[0] == pytest.approx(1.0 / (t * t + 1.0), abs=1e-14)
+            assert tp.coeffs[0] > 0.0
 
     def test_higher_derivatives_consistent(self, sine_tangent):
         # theta'' and theta''' against finite differences of theta'
         h = 1e-5
         for t in (0.4, 1.3):
-            sample = gauss_sample(sine_tangent, t)
-            tp = lambda u: gauss_sample(sine_tangent, u).theta_prime
-            assert sample.theta_double_prime == pytest.approx((tp(t + h) - tp(t - h)) / (2 * h), abs=1e-7)
-            ap = lambda u: gauss_sample(sine_tangent, u).a_prime
-            assert sample.a_double_prime == pytest.approx((ap(t + h) - ap(t - h)) / (2 * h), abs=1e-7)
+            tpj, apj = sine_tangent.derivative_jets(t, 3)
+            tp = lambda u: sine_tangent.derivative_jets(u, 3)[0].coeffs[0]
+            assert tpj.coeffs[1] == pytest.approx((tp(t + h) - tp(t - h)) / (2 * h), abs=1e-7)
+            ap = lambda u: sine_tangent.derivative_jets(u, 3)[1].coeffs[0]
+            assert apj.coeffs[1] == pytest.approx((ap(t + h) - ap(t - h)) / (2 * h), abs=1e-7)
 
 
 class TestProperties:
@@ -175,7 +174,7 @@ class TestProperties:
             lo, hi = angle(t - h), angle(t + h)
             assert abs(hi - lo) < 1.0  # nu stays in one half-plane
             rate = (hi - lo) / (2 * h)
-            assert abs(gauss_sample(sine_tangent, t).theta_prime - rate) <= 1e-5
+            assert abs(sine_tangent.derivative_jets(t, 3)[0].coeffs[0] - rate) <= 1e-5
 
     def test_antipodal_general_form_flips_nu_and_a(self, sine_tangent):
         flipped = build_family_general(P("cos t"), P("-1"), P("-(t*cos t - sin t)"), (-10.0, 10.0))
