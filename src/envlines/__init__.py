@@ -74,10 +74,11 @@ from .family import (
 )
 from .jets import Jet, JetDomainError
 
-# verification differentiates by finite differences; it samples four times
-# the analysis grid, never coarser than at the default grid, so that the h^2
-# truncation error sits inside the tangency band
-_VERIFY_FLOOR_N = 1001
+def verification_n(grid_n: int) -> int:
+    """Points of the verification grid: four times the analysis grid, never
+    coarser than at the default grid, so that the h^2 truncation error of the
+    finite differences sits inside the tangency band."""
+    return 4 * (max(grid_n, 1001) - 1) + 1
 
 
 @_dataclass(frozen=True, eq=False)
@@ -100,11 +101,11 @@ class Analysis:
     comparison: ComparisonReport | None
 
     def slice_at(self, t: float) -> SliceSolution:
-        """The t-slice of the discriminant set, classified with the run's scales."""
+        """The t-slice of the discriminant set, classified with the run's bands."""
         self.scan.family.require_in_domain(t)
         ts = np.array([float(t)])
         return discriminant._classify(ts, *analysis.first_order(self.scan.family, ts),
-                                      self.scan.scale_theta, self.scan.scale_a).slices[0]
+                                      self.scan).slices[0]
 
 
 def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analysis:
@@ -121,7 +122,7 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
         return result
     creator = build_creator(scan, report, parse_expression(user_b) if user_b else None)
     curve = sample_envelope(family, creator, grid_n, scan)
-    fine_n = 4 * (max(grid_n, _VERIFY_FLOOR_N) - 1) + 1
+    fine_n = verification_n(grid_n)
     try:
         check = verify_envelope(sample_envelope(family, creator, fine_n))
     except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed

@@ -18,18 +18,18 @@ import numpy as np
 
 from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
 from .family import DegenerateFamilyError, LineFamily
-from .jets import _div
+from .jets import MAX_ORDER, _div
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
 EPS_CRE = 1e-7        # |a^(j)| band for "derivative vanishes"
 EPS_STAR = 1e-6       # normalized residual bound for a' = b theta'
 QUOTIENT_COND = 1e-6  # |theta'| level at which the quotient a'/theta' is trusted
 LHOPITAL_DEPTH = 4
-SERIES_ORDER = 6      # jet order of the classification pass, which gives b's series
+SERIES_ORDER = MAX_ORDER  # jet order of the classification pass, which gives b's series
 ROOT_WIDTH = 1e-12
 LOOKAHEAD_POINTS = 128  # refinement pass size: 1 parameter costs about what 100 do
 MIN_GRID_N = 16
-FLAT_LABEL = "flat-to-order-4"
+FLAT_LABEL = f"flat-to-order-{LHOPITAL_DEPTH}"
 
 CREATIVE = "creative"
 NOT_CREATIVE = "not_creative"
@@ -102,10 +102,10 @@ def parameter_grid(domain: tuple[float, float], n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridScan:
     """The run's analysis grid after one order-1 pass of the coefficient jets:
-    the lines (c, s, a), theta' and a' at every grid parameter, the
-    quantities that enter the tolerance bands, and the grid decisions every
-    stage reads.  ``scan_grid`` makes it once per run; each stage takes it
-    as its only grid."""
+    the lines (c, s, a), theta' and a' at every grid parameter, the two
+    tolerance bands and the scales they come from, and the grid decisions
+    every stage reads.  ``scan_grid`` makes it once per run; each stage
+    takes it as its only grid."""
 
     family: LineFamily
     ts: np.ndarray
@@ -116,7 +116,8 @@ class GridScan:
     a_prime: np.ndarray
     scale_theta: float
     scale_a: float
-    cell: float        # nominal cell (domain length / grid_n), used in tolerances
+    band: float        # |theta'| <= band is singular (EPS_SING relative to scale_theta)
+    a_band: float      # |a'| <= a_band vanishes (EPS_CRE relative to scale_a)
     step: float        # spacing of the grid points (domain length / (grid_n - 1))
     delta_flat: float  # minimum span of a run of singular cells to call it flat
     runs: tuple[tuple[int, int], ...]       # maximal index runs [start, end] of banded theta'
@@ -136,15 +137,15 @@ def scan_grid(family: LineFamily, grid_n: int) -> GridScan:
     c, s, a, tp, ap = first_order(family, ts)
     scale_theta = float(np.max(np.abs(tp))) or 1.0
     scale_a = float(np.max(np.abs(ap))) or 1.0
-    cell = (family.domain[1] - family.domain[0]) / grid_n
+    band, a_band = EPS_SING * scale_theta, EPS_CRE * scale_a
     step = (family.domain[1] - family.domain[0]) / (grid_n - 1)
-    delta_flat = cell * max(3.0, grid_n / 100.0)
-    edges = np.flatnonzero(np.diff(np.abs(tp) <= EPS_SING * scale_theta,
-                                   prepend=False, append=False))
+    # a flat run spans at least max(3, n/100) nominal cells (domain length / n)
+    delta_flat = (family.domain[1] - family.domain[0]) / grid_n * max(3.0, grid_n / 100.0)
+    edges = np.flatnonzero(np.diff(np.abs(tp) <= band, prepend=False, append=False))
     runs = tuple(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
     flat_runs = tuple(run for run in runs
                       if ts[run[1]] - ts[run[0]] >= delta_flat * (1.0 - 1e-9))
-    return GridScan(family, ts, c, s, a, tp, ap, scale_theta, scale_a, cell, step,
+    return GridScan(family, ts, c, s, a, tp, ap, scale_theta, scale_a, band, a_band, step,
                     delta_flat, runs, flat_runs)
 
 
@@ -166,7 +167,6 @@ def grid_profile(scan: GridScan) -> dict[str, float]:
     return {
         "scale_theta": scan.scale_theta,
         "scale_a": scan.scale_a,
-        "cell": scan.cell,
         "delta_flat": scan.delta_flat,
     }
 
@@ -327,11 +327,11 @@ def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
     over the bracketing cells.  A run of banded points long enough to
     count as a flat interval is reported as one point at its midpoint.
     """
-    family, ts, tp = scan.family, scan.ts, scan.theta_prime
-    band = EPS_SING * scan.scale_theta
+    family, ts, tp, band = scan.family, scan.ts, scan.theta_prime, scan.band
     w = np.abs(tp)
 
-    sign_change = tp[:-1] * tp[1:] < 0.0
+    with np.errstate(over="ignore"):  # an infinite product keeps its sign
+        sign_change = tp[:-1] * tp[1:] < 0.0
     brackets = np.flatnonzero(sign_change)  # cells [i, i + 1] to bisect
 
     # one ternary search per non-flat run of banded points, then one per
@@ -445,7 +445,7 @@ class CreatorFunction:
                     value = value * dt + coeff
                 b[zone] = value
                 todo &= ~zone
-            plain = todo & (np.abs(tp) > EPS_SING * self.scan.scale_theta)
+            plain = todo & (np.abs(tp) > self.scan.band)
             b[plain] = ap[plain] / tp[plain]
             todo &= ~plain
         if todo.any() and self.flat_intervals:
@@ -484,21 +484,6 @@ class UserCreator(CreatorFunction):
         return f"UserCreator({unparse(self.expr)!r})"
 
 
-def _flat_fills(scan: GridScan) -> list[tuple[float, float, float]]:
-    """Constant fill per flat run, extended from the nearest non-flat boundary."""
-    fills: list[tuple[float, float, float]] = []
-    for start, end in scan.flat_runs:
-        if start > 0:
-            i = start - 1  # prefer the left boundary
-        elif end < len(scan.ts) - 1:
-            i = end + 1
-        else:
-            i = None  # the whole domain is flat: any creator works, use 0
-        fill = 0.0 if i is None else float(scan.a_prime[i] / scan.theta_prime[i])
-        fills.append((float(scan.ts[start]), float(scan.ts[end]), fill))
-    return fills
-
-
 def _assemble_canonical(scan: GridScan, isolated: tuple[SingularPoint, ...],
                         fills: list[tuple[float, float, float]]) -> CreatorFunction:
     return CreatorFunction(scan, tuple(p for p in isolated if p.resolvable),
@@ -524,16 +509,27 @@ def assess_creativity(scan: GridScan,
                       singulars: tuple[SingularPoint, ...]) -> CreativityReport:
     """Creativity verdict with witnesses and, when creative, the canonical
     creator; ``singulars`` are ``find_gauss_singular_points(scan)``."""
-    flat_runs, fills = scan.flat_runs, _flat_fills(scan)
     notes: list[str] = []
     fatal = False
     undecided = False
 
+    # per flat run: a witness, and b's constant fill (lo, hi, fill), extended
+    # from the nearest non-flat boundary
+    fills: list[tuple[float, float, float]] = []
     witnesses: list[SingularPoint] = []
-    for (start, end), (lo, hi, fill) in zip(flat_runs, fills):
+    for start, end in scan.flat_runs:
+        if start > 0:
+            i = start - 1  # prefer the left boundary
+        elif end < scan.grid_n - 1:
+            i = end + 1
+        else:
+            i = None  # the whole domain is flat: any creator works, use 0
+        fill = 0.0 if i is None else float(scan.a_prime[i] / scan.theta_prime[i])
+        lo, hi = float(scan.ts[start]), float(scan.ts[end])
+        fills.append((lo, hi, fill))
         segment = np.abs(scan.a_prime[start:end + 1])
         worst = start + int(np.argmax(segment))
-        a_ok = bool(segment[worst - start] <= EPS_CRE * scan.scale_a)
+        a_ok = bool(segment[worst - start] <= scan.a_band)
         witnesses.append(SingularPoint(
             t=float(0.5 * (lo + hi) if a_ok else scan.ts[worst]),
             theta_derivative_order=None,
@@ -593,9 +589,9 @@ def assess_creativity(scan: GridScan,
             verdict = INCONCLUSIVE
             creator = None
             notes.append(miss)
-        elif flat_runs:
+        elif fills:
             notes.append(
-                f"creator under-determined on {len(flat_runs)} flat interval(s); "
+                f"creator under-determined on {len(fills)} flat interval(s); "
                 "canonical constant fill applied (any smooth b works there)"
             )
 

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import Analysis, __version__, analyze, svgplot
+from . import Analysis, __version__, analyze, svgplot, verification_n
 from . import family as family_module
 from .analysis import (
     CREATIVE,
@@ -36,6 +36,7 @@ from .analysis import (
     InvalidCreatorError,
     SingularPoint,
     grid_profile,
+    parameter_grid,
 )
 from .discriminant import ComparisonReport
 from .expr import MAX_NESTING, ExpressionDomainError, ParseError, parse_expression
@@ -61,8 +62,6 @@ _MODE_FLAGS = {
     "hedgehog": ("--hedgehog",),
 }
 _EXPR_FLAGS = {flag for flags in _MODE_FLAGS.values() for flag in flags}
-_FORMATS = {"analyze": ("json",), "envelope": ("csv", "json"),  # the first is the default
-            "discriminant": ("json", "csv"), "compare": ("json",), "plot": ("svg",)}
 _VALUE_FLAGS = _EXPR_FLAGS | {"--domain", "--grid-n", "--user-b", "--output",
                               "--format", "--example"}
 
@@ -235,8 +234,12 @@ def parse_cli(argv: list[str]) -> RunConfig:
         _check_grid_n("--grid-n", grid_n)
     else:
         grid_n = _default_grid_n()
+    fine_n = verification_n(grid_n)  # the larger of the run's two grids
+    if not np.all(np.diff(parameter_grid(domain, fine_n)) > 0.0):
+        raise UsageError(f"interval [{domain[0]!r}, {domain[1]!r}] too narrow: "
+                         f"the {fine_n}-point verification grid repeats a parameter")
 
-    allowed = _FORMATS[command]
+    allowed = tuple(_OUTPUTS[command])
     fmt = values.get("--format", allowed[0])
     if fmt not in allowed:
         raise UsageError(f"format {fmt!r} not supported by {command} (allowed: {', '.join(allowed)})")
@@ -493,9 +496,8 @@ def _envelope_rows(result: Analysis) -> np.ndarray:
                             scan.theta_prime, scan.a_prime))
 
 
-def run_export(config: RunConfig, result: Analysis) -> str:
+def _envelope_csv(config: RunConfig, result: Analysis) -> str:
     """CSV of envelope samples: t,x,y,b,theta_prime,a_prime (LF endings)."""
-    assert result.creator is not None and result.envelope is not None
     rows = _envelope_rows(result)
     line = ",".join(["%.17g"] * len(_ENVELOPE_COLUMNS))
     body = _fmt_floats("\n".join([line] * len(rows)), rows.ravel().tolist())
@@ -503,14 +505,13 @@ def run_export(config: RunConfig, result: Analysis) -> str:
 
 
 def _envelope_json(config: RunConfig, result: Analysis) -> dict:
-    assert result.envelope is not None
     doc = _header(config, result.scan.family, "command")
     doc["columns"] = list(_ENVELOPE_COLUMNS)
     doc["rows"] = _envelope_rows(result).tolist()
     return doc
 
 
-def _discriminant_csv(result: Analysis) -> str:
+def _discriminant_csv(config: RunConfig, result: Analysis) -> str:
     disc = result.discriminant
     point = disc.kind == 0
     lines = ("%.17g,point,%.17g,%.17g", "%.17g,whole_line,,", "%.17g,empty,,")  # by kind
@@ -532,9 +533,24 @@ def _discriminant_json(config: RunConfig, result: Analysis) -> dict:
     return doc
 
 
-def run_plot(config: RunConfig, result: Analysis) -> str:
-    return svgplot.render_scene(result.scan.family, result.creativity.verdict, result.envelope,
-                                result.discriminant, tuple(p.t for p in result.singulars))
+def _compare_json(config: RunConfig, result: Analysis) -> dict:
+    doc = _header(config, result.scan.family, "command", "user_b")
+    doc.update(_comparison_entry(result.comparison))
+    return doc
+
+
+# each command's formats, its default first, and the writer of each, which
+# returns the text or a document written as JSON; the writers look up
+# build_document and svgplot.render_scene at each call
+_OUTPUTS = {
+    "analyze": {"json": lambda config, result: build_document(config, result)},
+    "envelope": {"csv": _envelope_csv, "json": _envelope_json},
+    "discriminant": {"json": _discriminant_json, "csv": _discriminant_csv},
+    "compare": {"json": _compare_json},
+    "plot": {"svg": lambda config, result: svgplot.render_scene(
+        result.scan.family, result.creativity.verdict, result.envelope,
+        result.discriminant, tuple(p.t for p in result.singulars))},
+}
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -565,34 +581,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = analyze(_build_family(config), config.grid_n, config.user_b)
-        if config.command == "analyze":
-            _write(config, to_json(build_document(config, result)) + "\n")
-            return _verdict_code(result.creativity.verdict)
-        if config.command == "envelope":
-            if result.creativity.verdict != CREATIVE:
-                sys.stderr.write(
-                    f"error: family is {result.creativity.verdict}; no envelope to export\n")
-                return _verdict_code(result.creativity.verdict)
-            payload = (run_export(config, result) if config.format == "csv"
-                       else to_json(_envelope_json(config, result)) + "\n")
-            _write(config, payload)
-            return EXIT_OK
-        if config.command == "discriminant":
-            payload = (_discriminant_csv(result) if config.format == "csv"
-                       else to_json(_discriminant_json(config, result)) + "\n")
-            _write(config, payload)
-            return EXIT_OK
-        if config.command == "compare":
-            if result.comparison is None:
-                sys.stderr.write(
-                    f"error: family is {result.creativity.verdict}; comparison needs a creator\n")
-                return _verdict_code(result.creativity.verdict)
-            doc = _header(config, result.scan.family, "command", "user_b")
-            doc.update(_comparison_entry(result.comparison))
-            _write(config, to_json(doc) + "\n")
-            return EXIT_OK
-        _write(config, run_plot(config, result))
-        return EXIT_OK
+        verdict = result.creativity.verdict
+        if config.command == "envelope" and verdict != CREATIVE:
+            sys.stderr.write(f"error: family is {verdict}; no envelope to export\n")
+            return _verdict_code(verdict)
+        if config.command == "compare" and result.comparison is None:
+            sys.stderr.write(f"error: family is {verdict}; comparison needs a creator\n")
+            return _verdict_code(verdict)
+        payload = _OUTPUTS[config.command][config.format](config, result)
+        _write(config, payload if isinstance(payload, str) else to_json(payload) + "\n")
+        return _verdict_code(verdict) if config.command == "analyze" else EXIT_OK
     except UsageError as err:  # an unwritable --output
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

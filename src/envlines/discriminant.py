@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import EPS_CRE, EPS_SING, CreatorFunction, GridScan, SingularPoint, first_order
+from .analysis import CreatorFunction, GridScan, SingularPoint, first_order
 from .envelope import EnvelopeCurve, envelope_points
 from .expr import ExpressionDomainError
 from .family import LineCoefficients
@@ -73,10 +73,10 @@ class ComparisonReport:
 
 
 def _classify(ts: np.ndarray, c: np.ndarray, s: np.ndarray, a: np.ndarray, tp: np.ndarray,
-              ap: np.ndarray, scale_theta: float, scale_a: float) -> DiscriminantSet:
+              ap: np.ndarray, scan: GridScan) -> DiscriminantSet:
     """The slice at each parameter of ts, given c, s, a, theta' and a' there."""
-    point = np.abs(tp) > EPS_SING * scale_theta
-    whole = ~point & (np.abs(ap) <= EPS_CRE * scale_a)
+    point = np.abs(tp) > scan.band
+    whole = ~point & (np.abs(ap) <= scan.a_band)
     kind = np.select([point, whole], [0, 1], 2).astype(np.int8)
     xs = np.full(ts.shape, np.nan)
     ys = np.full(ts.shape, np.nan)
@@ -123,7 +123,7 @@ def sample_discriminant(scan: GridScan,
         for out, column, values in zip(merged, columns, (extra, *first_order(scan.family, extra))):
             out[grid], out[at] = column, values
         columns = merged
-    return _classify(*columns, scan.scale_theta, scan.scale_a)
+    return _classify(*columns, scan)
 
 
 def compare_methods(creator: CreatorFunction, disc: DiscriminantSet,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CreatorFunction, GridScan, first_order, parameter_grid
+from .expr import ExpressionDomainError
 from .family import LineFamily
 
 MEMBERSHIP_TOL = 1e-9
@@ -103,24 +104,31 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     Membership: max |E(t) . nu(t) - a(t)| over the samples, with a(t) the
     offsets the curve was sampled with.  Tangency: max |E'(t) . nu(t)| with
     E' from central differences (second-order one-sided stencils at the
-    endpoints, where the tolerance doubles).
+    endpoints, where the tolerance doubles), on strictly increasing
+    parameters.  A tangency past the float range is a domain error there.
     """
     n = len(curve.ts)
     if n < 5:
         raise TooFewSamplesError(n)
     ts, pts, nus = curve.ts, curve.points, curve.nus
+    if not np.all(np.diff(ts) > 0.0):
+        raise ValueError("envelope verification needs strictly increasing parameters")
 
     membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - curve.offsets)))
 
     deriv = np.empty_like(pts)
-    deriv[1:-1] = (pts[2:] - pts[:-2]) / (ts[2:] - ts[:-2])[:, None]
-    h0, h1 = ts[1] - ts[0], ts[-1] - ts[-2]
-    deriv[0] = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * h0)
-    deriv[-1] = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * h1)
-
-    tangency = np.abs(np.einsum("ij,ij->i", deriv, nus))
-    with np.errstate(all="ignore"):  # |E'|^2 past the float range: an infinite tolerance
+    # a tangency past the float range raises below; |E'|^2 past it, an infinite tolerance
+    with np.errstate(all="ignore"):
+        deriv[1:-1] = (pts[2:] - pts[:-2]) / (ts[2:] - ts[:-2])[:, None]
+        h0, h1 = ts[1] - ts[0], ts[-1] - ts[-2]
+        deriv[0] = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * h0)
+        deriv[-1] = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * h1)
+        tangency = np.abs(np.einsum("ij,ij->i", deriv, nus))
         scale = TANGENCY_TOL * (1.0 + float(np.max(np.linalg.norm(deriv, axis=1))))
+    bad = np.flatnonzero(~np.isfinite(tangency))
+    if bad.size:
+        raise ExpressionDomainError("dE/dt", float(ts[bad[0]]),
+                                    "the finite difference of the envelope is not finite (overflow)")
     tangency_ok = (float(np.max(tangency[1:-1])) <= scale
                    and float(max(tangency[0], tangency[-1])) <= 2.0 * scale)
     passed = membership <= MEMBERSHIP_TOL and tangency_ok

@@ -2,9 +2,9 @@
 
 Four input modes build the same normalized object: the unit normal
 nu(t) = (c(t), s(t)) and the signed offset a(t), each available as a jet of
-any order up to 6.  The rotation angle itself is never materialized; every
-downstream formula needs only (c, s) and derivatives of theta, and the
-rotation rate comes branch-free from theta' = c s' - s c'.
+any order up to ``jets.MAX_ORDER``.  The rotation angle itself is never
+materialized; every downstream formula needs only (c, s) and derivatives of
+theta, and the rotation rate comes branch-free from theta' = c s' - s c'.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ DEFAULT_DOMAIN = (-10.0, 10.0)
 EPS_DEGENERATE = 1e-12  # threshold on A^2 + B^2 below which no line is defined
 UNIT_TOL = 1e-12
 _BUILD_GRID_N = 257
-_MAX_COEFF_ORDER = 6
 
 _Recipe = Callable[..., tuple[Jet, Jet, Jet]]  # (t, order, *source jets) -> (c, s, a)
 
@@ -86,14 +85,12 @@ class LineFamily:
             raise OutOfDomainError(t, self.domain)
 
     def coeff_jets(self, t, order: int) -> tuple[Jet, Jet, Jet]:
-        """Jets of (cos theta, sin theta, a) at t; order <= 6.
+        """Jets of (cos theta, sin theta, a) at t; order <= jets.MAX_ORDER.
 
         ``t`` is a float, or a 1-d array of parameters for jets over the whole
         grid; a domain error then names the first failing parameter, as a
         loop over the grid would.
         """
-        if not 0 <= order <= _MAX_COEFF_ORDER:
-            raise ValueError(f"order must be in [0, {_MAX_COEFF_ORDER}], got {order}")
         if not isinstance(t, np.ndarray):
             return self._coeffs(float(t), order)
         t = t.astype(float, copy=False)
@@ -127,7 +124,7 @@ def _validated(family: LineFamily) -> LineFamily:
     lo, hi = family.domain
     step = (hi - lo) / (_BUILD_GRID_N - 1)
     ts = lo + np.arange(_BUILD_GRID_N) * step
-    c, s, _ = family.coeff_jets(ts, _MAX_COEFF_ORDER)
+    c, s, _ = family.coeff_jets(ts, jets.MAX_ORDER)
     unit_defect = np.abs(c.value * c.value + s.value * s.value - 1.0)
     bad = np.flatnonzero(unit_defect > UNIT_TOL)
     if bad.size:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestVerifyEnvelope:
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 4)
         with pytest.raises(TooFewSamplesError):
             verify_envelope(curve)
+
+    def test_repeated_parameter_is_rejected(self, sine_tangent):
+        # a zero spacing would divide the finite differences by 0
+        curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 9)
+        ts = curve.ts.copy()
+        ts[4] = ts[3]
+        with pytest.raises(ValueError, match="^envelope verification needs strictly "
+                                             "increasing parameters$"):
+            verify_envelope(replace(curve, ts=ts))
 
     def test_undefined_creator_propagates_offending_parameter(self, parallel_shift):
         from envlines import UndefinedCreatorError

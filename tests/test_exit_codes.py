@@ -25,7 +25,8 @@ _ATOMS = [
     "t", "0", "1", "-1", "pi", "e", "t^2", "t^3", "sin(t)", "cos(t)", "1/t", "1/(t-0.5)",
     "log(t)", "log(-1)", "log(0)", "sqrt(t)", "sqrt(-t)", "tan(t)", "abs(t)", "atan(1/t)",
     "t^0.5", "(-1)^0.5", "t^-1", "0^0", "0/0", "exp(exp(t))", "exp(1000)", "1e300",
-    "1e308*1e308", "1e-300*t", "1e10*t^3", "1e150*t^3", "t*cos t - sin t",
+    "1e308*1e308", "1e-300*t", "1e10*t^3", "1e150*t^3", "1e308*t", "1e308*sin(t)",
+    "t*cos t - sin t",
     "(t-0.3)^6", "0.0001*atan((t - 0.00013)/0.0001)",
     "(" * 150 + "t" + ")" * 150, "sin(" * 120 + "t" + ")" * 120, "t+" * 150 + "t",
     "", "t+", "foo(t)", "1e999", "((t)", "t t", "2^^t", "-",
@@ -42,7 +43,9 @@ def _expressions(draw):
 
 
 _MODES = [("--theta", "--a"), ("--A", "--B", "--C"), ("--g",), ("--hedgehog",)]
-_DOMAINS = ["-1:1", "-10:10", "0:1", "-2:2", "-1000:1000", "0:1e-10", "-1e300:1e300"]
+_DOMAINS = ["-1:1", "-10:10", "0:1", "-2:2", "-1000:1000", "0:1e-10", "-1e300:1e300",
+            # a few ulps wide: the verification grid would repeat a parameter
+            "0:5e-324", "1:1.0000000000000004", "1e16:1.0000000000000002e16"]
 _BAD_DOMAINS = ["-1e308:1e308", "1:1", "2:1", "a:b", "1", "-inf:inf", "nan:1"]
 _FORMATS = ["json", "csv", "svg", "xml"]
 
@@ -108,6 +111,15 @@ def test_main_ends_in_a_documented_exit_code(argv):
        "error: domain error in 'da/dtheta' at t = -1.0: "
        "the discriminant point is not finite (overflow)\n")
       for command in ("discriminant", "plot", "analyze")],
+    # the envelope's endpoint stencils scale E ~ 1e308 by 3 and 4
+    *[([command, *family, "--domain", "-1:1"], 5,
+       "error: domain error in 'dE/dt' at t = -1.0: "
+       "the finite difference of the envelope is not finite (overflow)\n")
+      for command in ("analyze", "plot")
+      for family in (["--hedgehog", "1e308*t"], ["--theta", "t", "--a", "1e308*sin(t)"],
+                     ["--theta", "0", "--a", "0", "--user-b", "1e308"])],
+    # the product of neighbouring theta' ~ 1e160 overflows in the sign-change test
+    (["analyze", "--theta", "(1e150*t^3)*((t-0.3)^6)", "--a", "t", "--grid-n", "16"], 3, ""),
 ])
 def test_overflow_raises_no_warning(argv, code, err):
     assert _stderr_of(argv) == (code, err)
@@ -125,6 +137,24 @@ def test_unbounded_domain_is_a_usage_error():
         code, err = _stderr_of(["analyze", "--theta", "t", "--a", "t", "--domain", domain])
         assert code == 2
         assert err.startswith(f"error: unbounded interval '{domain}': need HI - LO finite\n")
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    (["analyze", "--theta", "t", "--a", "t", "--domain", "0:5e-324"], "[0.0, 5e-324]"),
+    (["discriminant", "--theta", "t", "--a", "t", "--domain", "0:5e-324"], "[0.0, 5e-324]"),
+    (["analyze", "--theta", "t", "--a", "t", "--domain", "1e16:1.0000000000000002e16"],
+     "[1e+16, 1.0000000000000002e+16]"),
+    # 673 distinct values among the 1001 analysis grid points
+    (["analyze", "--theta", "t", "--a", "0", "--domain", "1e300:1.0000000000001e300"],
+     "[1e+300, 1.0000000000001e+300]"),
+    # the 1001 analysis grid points are distinct, the 4001 verification ones are not
+    (["envelope", "--theta", "t", "--a", "t", "--domain", "1:1.0000000000004"],
+     "[1.0, 1.0000000000004]"),
+])
+def test_narrow_domain_is_a_usage_error(argv, bounds):
+    # the verification grid, the larger of a run's two, would repeat a parameter
+    assert _stderr_of(argv) == (2, f"error: interval {bounds} too narrow: the 4001-point "
+                                   f"verification grid repeats a parameter\n\n{_USAGE}")
 
 
 def test_normal_off_the_unit_circle_is_a_domain_error():

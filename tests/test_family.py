@@ -94,6 +94,17 @@ class TestBuilders:
         assert "log" in str(err.value)
 
 
+class TestOrderCap:
+    @pytest.mark.parametrize("order", [7, -1])
+    def test_coeff_jets_rejects_an_order_outside_the_jets(self, sine_tangent, order):
+        # evaluate_jet alone checks the order: a float and an array get its message
+        for t in (0.5, np.array([0.0, 0.5])):
+            with pytest.raises(ValueError) as err:
+                sine_tangent.coeff_jets(t, order)
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"order must be in [0, 6], got {order}"
+
+
 class TestLineAt:
     def test_sine_tangent_at_half_pi(self, sine_tangent):
         line = line_at(sine_tangent, math.pi / 2)

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 
 import envlines
 from envlines import analysis, family as family_module, jets
-from envlines.analysis import CreatorFunction
+from envlines.analysis import CreatorFunction, UndefinedCreatorError
 from envlines.cli import _build_family, main, parse_cli
-from envlines.discriminant import SliceSolution
+from envlines.discriminant import SliceSolution, sample_discriminant
 
 SINE_TANGENT_FINE = ["analyze", "--example", "1", "--grid-n", "10001"]
 SINE_EVOLUTE_WIDE = ["analyze", "--A", "1", "--B", "cos t", "--C", "-t - cos t*sin t",
@@ -133,6 +134,28 @@ def test_one_sine_cosine_recurrence_per_pass(monkeypatch, passes, example):
     monkeypatch.setattr(jets, "_sincos", spy)
     _run(["analyze", "--example", str(example)])
     assert len(runs) == len(passes) > 0
+
+
+def test_the_scan_owns_both_bands():
+    # theta' = cos t and a' = -2 sin 2t: with both bands widened in the scan
+    # alone, the slice kinds and the creator's quotient points follow them
+    config = parse_cli(["analyze", "--theta", "sin(t)", "--a", "cos(2*t)"])
+    scan = analysis.scan_grid(_build_family(config), 1001)
+    tp, ap = np.abs(scan.theta_prime), np.abs(scan.a_prime)
+    wide = replace(scan, band=0.3 * scan.scale_theta, a_band=0.5 * scan.scale_a)
+    kinds = np.select([tp > wide.band, ap <= wide.a_band], [0, 1], 2)
+    assert set(kinds.tolist()) == {0, 1, 2}
+    assert np.array_equal(sample_discriminant(wide, ()).kind, kinds)
+    assert set(sample_discriminant(scan, ()).kind.tolist()) == {0}
+
+    quotient = tp > wide.band
+    creator = CreatorFunction(wide, (), (), ())
+    b = creator.on_grid(scan.ts[quotient], scan.theta_prime[quotient], scan.a_prime[quotient])
+    assert np.array_equal(b, scan.a_prime[quotient] / scan.theta_prime[quotient])
+    with pytest.raises(UndefinedCreatorError) as err:  # the first banded parameter
+        creator.on_grid(scan.ts, scan.theta_prime, scan.a_prime)
+    assert err.value.t == float(scan.ts[np.argmin(quotient)])
+    CreatorFunction(scan, (), (), ()).on_grid(scan.ts, scan.theta_prime, scan.a_prime)
 
 
 def test_flat_fills_take_no_float_path(monkeypatch):
