@@ -410,11 +410,11 @@ class CreatorFunction:
         lo, hi = family.domain
         for u in ts[(ts < lo) | (ts > hi)].tolist():
             family.require_in_domain(u)  # the first past the slack raises
-        b = self.on_grid(ts, *_first_derivatives(family, ts))
+        b = self.on_grid(ts)
         return b if isinstance(t, np.ndarray) else float(b[0])
 
-    def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
-        """b at the parameters ts, where theta' and a' are tp and ap.
+    def on_grid(self, ts: np.ndarray, tp=None, ap=None) -> np.ndarray:
+        """b at the parameters ts, where theta' and a' are tp and ap, by default the jets'.
 
         Each parameter takes the first that applies of: the fill of the
         first flat interval holding it; within the radius of the nearest
@@ -422,6 +422,8 @@ class CreatorFunction:
         outside the band; the fill of the nearest flat interval within one
         grid step (flat bounds are grid-resolution).  The first parameter
         left over raises."""
+        if tp is None:
+            tp, ap = _first_derivatives(self.scan.family, ts)
         b = np.empty(ts.shape)
         todo = np.ones(ts.shape, dtype=bool)
         for lo, hi, fill in self.flat_intervals:
@@ -476,7 +478,7 @@ class UserCreator(CreatorFunction):
         self.expr = expr
         self._program = JetProgram((expr,))
 
-    def on_grid(self, ts: np.ndarray, tp: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    def on_grid(self, ts: np.ndarray, tp=None, ap=None) -> np.ndarray:
         """The expression at the parameters ts; theta' and a' play no part."""
         return evaluate_jet(self._program, ts, 0)[0].value
 

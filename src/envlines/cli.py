@@ -170,6 +170,13 @@ def _parse_domain(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _wide_step(domain: tuple[float, float], n: int) -> bool:
+    """Whether the n-point grid's step proves it increasing: a normal step above
+    2^-50 max(|lo|, |hi|), 8 units of rounding, outgrows the 7 linspace can lose."""
+    step = (domain[1] - domain[0]) / (n - 1)
+    return step >= sys.float_info.min and step > 2.0 ** -50 * max(map(abs, domain))
+
+
 def parse_cli(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; raises UsageError on any problem."""
     if not argv:
@@ -235,7 +242,7 @@ def parse_cli(argv: list[str]) -> RunConfig:
     else:
         grid_n = _default_grid_n()
     fine_n = verification_n(grid_n)  # the larger of the run's two grids
-    if not np.all(np.diff(parameter_grid(domain, fine_n)) > 0.0):
+    if not (_wide_step(domain, fine_n) or np.all(np.diff(parameter_grid(domain, fine_n)) > 0)):
         raise UsageError(f"interval [{domain[0]!r}, {domain[1]!r}] too narrow: "
                          f"the {fine_n}-point verification grid repeats a parameter")
 
@@ -265,13 +272,12 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_floats(template: str, values: list[float]) -> str:
-    """``template % tuple(values)``, where the template holds one ``%.17g``
-    per value: the text ``_fmt_float`` gives each value, in one pass."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        _fmt_float(values[int(np.argmin(finite))])  # raises for the first non-finite value
-    return template % tuple(values)
+def _fmt_floats(template: str, values: np.ndarray) -> str:
+    """The template, one ``%.17g`` per value in row-major order, filled in
+    one pass with the text ``_fmt_float`` gives each value."""
+    if not np.isfinite(values).all():
+        _fmt_float(float(values[~np.isfinite(values)][0]))  # raises for the first non-finite value
+    return template % tuple(values.ravel().tolist())
 
 
 _JSON_ESCAPES = {**{code: f"\\u{code:04x}" for code in range(0x20)},
@@ -318,7 +324,7 @@ def _table(rows: list[dict], indent: int) -> str | None:
             return None
     body = ",\n".join(pad + "{\n" + ",\n".join(cells) + "\n" + pad + "}"
                       for cells in zip(*columns))
-    return _fmt_floats(body, list(chain.from_iterable(chain.from_iterable(zip(*floats)))))
+    return _fmt_floats(body, np.fromiter(chain.from_iterable(chain(*zip(*floats))), float))
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -331,20 +337,20 @@ def to_json(value, indent: int = 0) -> str:
         rows = [f"{inner}{_json_escape(str(k))}: {to_json(v, indent + 1)}"
                 for k, v in value.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):  # float samples: one template, one pass
+        if value.dtype != np.float64 or value.ndim not in (1, 2):
+            raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array")
+        row = "[" + ", ".join(["%.17g"] * value.shape[-1]) + "]"
+        if value.ndim == 2 and len(value):  # one row a line, as a list of rows is written
+            row = "[\n" + ",\n".join([inner + row] * len(value)) + "\n" + pad + "]"
+        return _fmt_floats(row if len(value) else "[]", value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if _is_floats(value):
-            return _fmt_floats("[" + ", ".join(["%.17g"] * len(value)) + "]", value)
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
             return "[" + ", ".join(
                 _fmt_float(v) if isinstance(v, float) else str(v) for v in value
             ) + "]"
-        if set(map(type, value)) <= {list, tuple} and len(set(map(len, value))) == 1:
-            flat = [x for row in value for x in row]
-            if flat and set(map(type, flat)) == {float}:  # rows of floats: format in bulk
-                line = inner + "[" + ", ".join(["%.17g"] * len(value[0])) + "]"
-                return "[\n" + _fmt_floats(",\n".join([line] * len(value)), flat) + "\n" + pad + "]"
         keys = list(value[0]) if type(value[0]) is dict else None
         if keys and all(type(row) is dict and list(row) == keys for row in value):
             table = _table(value, indent + 1)
@@ -449,14 +455,14 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
                 {"lo": lo, "hi": hi, "fill": fill}
                 for lo, hi, fill in result.creator.flat_intervals
             ],
-            "samples": np.column_stack((curve.ts, curve.b_values)).tolist(),
+            "samples": np.column_stack((curve.ts, curve.b_values)),
         }
     else:
         doc["creator"] = None
     if curve is not None:
         check = result.verification
         doc["envelope"] = {
-            "samples": np.column_stack((curve.ts, curve.points)).tolist(),
+            "samples": np.column_stack((curve.ts, curve.points)),
             "verification": {
                 "n": check.n,
                 "max_membership_residual": check.max_membership_residual,
@@ -472,7 +478,7 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
         "point_count": int(np.count_nonzero(disc.kind == 0)),
         "whole_line_count": int(np.count_nonzero(disc.kind == 1)),
         "empty_count": int(np.count_nonzero(disc.kind == 2)),
-        "failure_ts": disc.ts[disc.kind != 0].tolist(),
+        "failure_ts": disc.ts[disc.kind != 0],
         "polluted_lines": [
             {"t": t, "nu": [line.nu[0], line.nu[1]], "offset": line.offset}
             for t, line in disc.polluted_lines
@@ -500,14 +506,14 @@ def _envelope_csv(config: RunConfig, result: Analysis) -> str:
     """CSV of envelope samples: t,x,y,b,theta_prime,a_prime (LF endings)."""
     rows = _envelope_rows(result)
     line = ",".join(["%.17g"] * len(_ENVELOPE_COLUMNS))
-    body = _fmt_floats("\n".join([line] * len(rows)), rows.ravel().tolist())
+    body = _fmt_floats("\n".join([line] * len(rows)), rows)
     return ",".join(_ENVELOPE_COLUMNS) + "\n" + body + "\n"
 
 
 def _envelope_json(config: RunConfig, result: Analysis) -> dict:
     doc = _header(config, result.scan.family, "command")
     doc["columns"] = list(_ENVELOPE_COLUMNS)
-    doc["rows"] = _envelope_rows(result).tolist()
+    doc["rows"] = _envelope_rows(result)
     return doc
 
 
@@ -518,7 +524,7 @@ def _discriminant_csv(config: RunConfig, result: Analysis) -> str:
     cells = np.column_stack((disc.ts, disc.xs, disc.ys))
     values = cells[np.column_stack((np.ones_like(point), point, point))]  # t, and x, y of points
     return "t,kind,x,y\n" + _fmt_floats("\n".join([lines[k] for k in disc.kind.tolist()]),
-                                        values.tolist()) + "\n"
+                                        values) + "\n"
 
 
 def _discriminant_json(config: RunConfig, result: Analysis) -> dict:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from envlines.cli import (
@@ -105,6 +106,11 @@ class TestParseCli:
             parse_cli(["analyze", "--theta", "t", "--a", "0"])
 
 
+def _validate_shipped(doc):
+    """Validate the bytes the CLI writes for a document, not the dict."""
+    jsonschema.validate(json.loads(to_json(doc)), SCHEMA)
+
+
 class TestAnalyzeDocument:
     def test_sine_tangent_document(self):
         config = parse_cli(["analyze", *EXAMPLE1])
@@ -114,7 +120,7 @@ class TestAnalyzeDocument:
         assert doc["envelope"]["verification"]["pass"] is True
         assert doc["comparison"]["widespread_ok"] is False
         assert len(doc["gauss_singular_points"]) == 7
-        jsonschema.validate(doc, SCHEMA)
+        _validate_shipped(doc)
 
     def test_evolute_document(self):
         config = parse_cli(["analyze", *EVOLUTE])
@@ -122,7 +128,7 @@ class TestAnalyzeDocument:
         assert doc["creativity"]["verdict"] == "not_creative"
         assert "no envelope exists" in doc["creativity"]["notes"]
         assert doc["creator"] is None and doc["envelope"] is None
-        jsonschema.validate(doc, SCHEMA)
+        _validate_shipped(doc)
 
     def test_still_family_document(self):
         config = parse_cli(["analyze", "--theta", "0", "--a", "0", "--domain", "-1:1"])
@@ -130,7 +136,7 @@ class TestAnalyzeDocument:
         assert doc["creativity"]["verdict"] == "creative"
         assert doc["uniqueness"]["verdict"] == "non_unique"
         assert "under-determined" in doc["creativity"]["notes"]
-        jsonschema.validate(doc, SCHEMA)
+        _validate_shipped(doc)
 
     def test_user_creator_recorded(self):
         config = parse_cli(["analyze", "--theta", "0", "--a", "0", "--domain", "-1:1",
@@ -145,7 +151,7 @@ class TestAnalyzeDocument:
         doc = run_analyze(parse_cli(["analyze", "--example", "1"]))
         assert doc["example"]["name"] == "sine-tangent"
         assert doc["creativity"]["verdict"] == doc["example"]["expected_verdict"]
-        jsonschema.validate(doc, SCHEMA)
+        _validate_shipped(doc)
 
     def test_all_examples_match_expectations(self):
         for n, entry in WORKED_EXAMPLES.items():
@@ -457,9 +463,11 @@ class TestJsonWriter:
         payload = {"a": [1.5, 2, True, None], "b": {"s": 'quote " and \\'}, "c": []}
         assert json.loads(to_json(payload)) == payload
 
+    SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1.0 / 3.0, 2.0 ** 53 + 2.0,
+                1.7976931348623157e308, 1e-310, 123456789.0, -2.5e-5]
+
     def test_bulk_rows_match_per_value_formatting(self):
-        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 1.0 / 3.0, 2.0 ** 53 + 2.0,
-                    1.7976931348623157e308, 1e-310, 123456789.0, -2.5e-5]
+        specials = self.SPECIALS
         payload = {
             "float_rows": [[x, -x, 1.0 / (1.0 + abs(x))] for x in specials],
             "float_list": specials,
@@ -470,6 +478,41 @@ class TestJsonWriter:
         }
         assert to_json(payload) == _to_json_per_value(payload)
         assert json.loads(to_json(payload)) == payload
+
+    def test_float_arrays_match_per_value_formatting(self):
+        # sample arrays are written in one pass, row-major, as their nested lists would be
+        line = np.array(self.SPECIALS)
+        rows = np.column_stack((line, -line, 1.0 / (1.0 + np.abs(line))))
+        for value in (line, rows, rows[:1], rows[:, :1], {"samples": rows, "ts": line},
+                      {"nested": {"samples": rows}}, [rows, {"ts": line}]):
+            plain = value.tolist() if isinstance(value, np.ndarray) else \
+                json.loads(json.dumps(value, default=np.ndarray.tolist))
+            assert to_json(value) == _to_json_per_value(plain)
+            assert json.loads(to_json(value)) == plain
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_is_an_empty_list(self, shape):
+        assert to_json(np.empty(shape)) == "[]"
+        assert to_json({"samples": np.empty(shape)}) == '{\n  "samples": []\n}'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_arrays_reject_non_finite_values_alike(self, bad):
+        # the first non-finite value in row-major order, not column-major
+        for value in ([[0.5, bad], [-bad, 1.0]], [0.5, 1.5, bad, -bad]):
+            with pytest.raises(ValueError) as per_value:
+                _to_json_per_value(value)
+            with pytest.raises(ValueError) as bulk:
+                to_json({"samples": np.array(value)})
+            assert str(bulk.value) == str(per_value.value) == \
+                f"non-finite value {bad!r} cannot be serialized"
+
+    @pytest.mark.parametrize("value", [np.arange(3), np.array([[True, False]]),
+                                       np.zeros(3, dtype=np.float32), np.zeros((2, 2, 2)),
+                                       np.array(0.5)],
+                             ids=["int", "bool", "float32", "3-d", "0-d"])
+    def test_other_arrays_are_refused(self, value):
+        with pytest.raises(TypeError):
+            to_json({"samples": value})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_bulk_rows_reject_non_finite_values_alike(self, bad):

@@ -14,6 +14,7 @@ from envlines import (OutOfDomainError, UndefinedCreatorError, UserCreator, anal
                       find_gauss_singular_points, parse_expression)
 from envlines.analysis import EPS_SING, _assemble_canonical, _first_derivatives, scan_grid
 from envlines.cli import _build_family, main, parse_cli
+from envlines.family import LineFamily
 from conftest import scan_and_singulars
 
 SINE_TANGENT_WIDE = ["analyze", "--A", "-cos t", "--B", "1", "--C", "t*cos t - sin t",
@@ -164,3 +165,23 @@ def test_user_creator_float_call_is_its_array_call(still_family):
     assert all(type(b) is float for b in floats)
     firsts = [user(np.array([t, 0.5]))[0] for t in ts.tolist()]
     assert np.array(floats).tobytes() == np.array(firsts).tobytes() == user(ts).tobytes()
+
+
+@pytest.mark.parametrize("user_b, jet_calls", [("sin(t)", 0), (None, 1)])
+def test_only_the_canonical_creator_runs_the_jets_on_a_float_call(monkeypatch, user_b,
+                                                                  jet_calls):
+    # a user creator is its expression: theta' and a' at t would go unread
+    family = _build_family(parse_cli(["analyze", "--theta", "0", "--a", "0",
+                                      "--domain", "-2:2"]))
+    run = analyze(family, 1001, user_b)
+    calls = []
+    original = LineFamily.coeff_jets
+
+    def spy(self, t, order):
+        calls.append(t)
+        return original(self, t, order)
+
+    monkeypatch.setattr(LineFamily, "coeff_jets", spy)
+    b = run.creator(1.5)
+    assert len(calls) == jet_calls
+    assert np.float64(b).tobytes() == run.creator.on_grid(np.array([1.5]))[0].tobytes()

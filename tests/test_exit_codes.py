@@ -13,11 +13,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from envlines.cli import _USAGE, COMMANDS, WORKED_EXAMPLES, main
+from envlines import cli, verification_n
+from envlines.analysis import parameter_grid
+from envlines.cli import _USAGE, COMMANDS, WORKED_EXAMPLES, _wide_step, main
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
@@ -155,6 +158,36 @@ def test_narrow_domain_is_a_usage_error(argv, bounds):
     # the verification grid, the larger of a run's two, would repeat a parameter
     assert _stderr_of(argv) == (2, f"error: interval {bounds} too narrow: the 4001-point "
                                    f"verification grid repeats a parameter\n\n{_USAGE}")
+
+
+def test_wide_domain_builds_no_verification_grid(monkeypatch):
+    # the step proves the 40001-point grid increasing, so it is never built
+    sizes = []
+    monkeypatch.setattr(cli, "parameter_grid", lambda domain, n: sizes.append(n) or
+                        parameter_grid(domain, n))
+    config = cli.parse_cli(["analyze", "--theta", "t", "--a", "t", "--domain", "-10:10",
+                            "--grid-n", "10001"])
+    assert verification_n(config.grid_n) == 40001 and sizes == []
+
+
+_SUBNORMAL = 5e-324
+
+
+@given(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, 1.0, -1e-310, 1e16])),
+       st.floats(0.01, 4.0), st.integers(1, 10 ** 5),
+       st.one_of(st.sampled_from([4001, 40001]), st.integers(2, 5000)), st.booleans())
+@example(0.0, 1.0, 6000, 4001, False)  # a rounded subnormal step overshoots hi
+@example(1e16, 1.0, 1, 4001, True)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_step_test_implies_an_increasing_grid(lo, ratio, ulps, n, mirror):
+    # near the threshold step = 2^-50 max(|lo|, |hi|); a zero lo takes a
+    # span of whole subnormals instead
+    span = ratio * 2.0 ** -50 * abs(lo) * (n - 1) if lo else ulps * _SUBNORMAL
+    domain = (-(lo + span), -lo) if mirror else (lo, lo + span)
+    if not (domain[0] < domain[1] and np.isfinite(domain[1] - domain[0])):
+        return
+    if _wide_step(domain, n):
+        assert np.all(np.diff(parameter_grid(domain, n)) > 0.0)
 
 
 def test_normal_off_the_unit_circle_is_a_domain_error():

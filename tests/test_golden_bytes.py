@@ -27,6 +27,8 @@ SINE_EVOLUTE = ["--A", "1", "--B", "cos t", "--C", "-t - cos t*sin t"]
 INVOCATIONS = {
     **{f"example-{k}-grid-{n}": ["analyze", "--example", str(k), "--grid-n", str(n)]
        for k in range(1, 8) for n in (16, 257, 1001)},
+    # the sine-tangent-fine benchmark operation: a 1,179,409-byte document
+    "example-1-grid-10001": ["analyze", "--example", "1", "--grid-n", "10001"],
     "sine-tangent-envelope-csv": ["envelope", *SINE_TANGENT, "--format", "csv"],
     "sine-tangent-discriminant-csv": ["discriminant", *SINE_TANGENT, "--format", "csv"],
     "sine-tangent-compare": ["compare", *SINE_TANGENT],
@@ -67,6 +69,7 @@ DIGESTS = {
     "example-1-grid-16": "4b14979494e977f13703b96f8a190625744460768a9cf09e51f8c284e9e5097e",
     "example-1-grid-257": "2cb8ccaff12ce504437b77c80f70f665fa40def791567f00d8c28621b1ecfd1f",
     "example-1-grid-1001": "e1afc8cc655877e68e0c1a8589c1a4908992cd17439b235742108b176fe4b878",
+    "example-1-grid-10001": "f1b1c496983af5e7c54033f38c2404a3d738b62b83129f7b46508e1cdab752b4",
     "example-2-grid-16": "f37ab878a7b26704a55fa6e90af9bb0e1123ce3b2b499a0b28a7fc460a672606",
     "example-2-grid-257": "21acdc61e59984427dfdd5c43c97c3413af27f2acc99f7dff4f2bdbed50191c1",
     "example-2-grid-1001": "3b7d08f4640cdde16452c25a4329e4daf74a137bb2db290721c51d44cca7abc2",

@@ -23,7 +23,8 @@ def _bits(x: float) -> bytes:
        st.one_of(st.sampled_from([0.02, 0.98]), st.floats(0.0, 1.0)))
 @settings(max_examples=400, deadline=None)
 def test_quantile_matches_numpy_bit_for_bit(values, q):
-    expected = float(np.quantile(values, q))
+    with np.errstate(invalid="ignore"):  # numpy's own inf - inf on draws with infinities
+        expected = float(np.quantile(values, q))
     assert _bits(_quantile(values.copy(), q)) == _bits(expected)
 
 
