@@ -124,7 +124,7 @@ def analyze(family: LineFamily, grid_n: int, user_b: str | None = None) -> Analy
     curve = sample_envelope(family, creator, grid_n, scan)
     fine_n = verification_n(grid_n)
     try:
-        check = verify_envelope(sample_envelope(family, creator, fine_n))
+        check = verify_envelope(sample_envelope(family, creator, fine_n, scan))
     except UndefinedCreatorError as err:  # at a stall of the Gauss map the grid missed
         return _replace(result, creativity=analysis.mark_unverified(
             report, f"envelope verification failed at n = {fine_n}: {err}"))

@@ -44,10 +44,10 @@ from .family import DegenerateFamilyError, LineFamily, OutOfDomainError
 
 COMMANDS = ("analyze", "envelope", "discriminant", "compare", "plot")
 DEFAULT_GRID_N = 1001
-# grid arrays, and the 4(n-1)+1 verification grid, grow with n: one analyze
-# at n = 40001 peaks at about 81 MB resident
+# the grid arrays grow with n: one analyze at n = 40001 peaks at about 47 MB resident
 MAX_GRID_N = 100001
 GRID_ENV_VAR = "ENVELOPE_GRID_N"
+ROW_BLOCK = 1024  # rows of a float array formatted in one pass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -329,44 +329,49 @@ def _table(rows: list[dict], indent: int) -> str | None:
 
 def to_json(value, indent: int = 0) -> str:
     """Minimal JSON writer with insertion-order keys and .17g floats."""
+    return "".join(json_chunks(value, indent))
+
+
+def json_chunks(value, indent: int = 0):
+    """The text of ``to_json(value, indent)`` in pieces, in order: a float
+    array in blocks of ``ROW_BLOCK`` rows, so that no piece grows with the grid."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f"{inner}{_json_escape(str(k))}: {to_json(v, indent + 1)}"
-                for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, np.ndarray):  # float samples: one template, one pass
+    if isinstance(value, np.ndarray):  # float samples: one template, one pass a block
         if value.dtype != np.float64 or value.ndim not in (1, 2):
             raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array")
-        row = "[" + ", ".join(["%.17g"] * value.shape[-1]) + "]"
-        if value.ndim == 2 and len(value):  # one row a line, as a list of rows is written
-            row = "[\n" + ",\n".join([inner + row] * len(value)) + "\n" + pad + "]"
-        return _fmt_floats(row if len(value) else "[]", value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        cell, sep, head, tail = "%.17g", ", ", "[", "]"
+        if value.ndim == 2:  # one row a line, as a list of rows is written
+            cell = "[" + ", ".join(["%.17g"] * value.shape[1]) + "]"
+            sep, head, tail = ",\n" + inner, "[\n" + inner, "\n" + pad + "]"
+        for lo in range(0, len(value), ROW_BLOCK):
+            rows = value[lo:lo + ROW_BLOCK]
+            yield _fmt_floats((sep if lo else head) + sep.join([cell] * len(rows)), rows)
+        yield tail if len(value) else "[]"
+        return
+    if isinstance(value, dict):
+        items, brackets = [(_json_escape(str(k)) + ": ", v) for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            return "[" + ", ".join(
-                _fmt_float(v) if isinstance(v, float) else str(v) for v in value
-            ) + "]"
+            yield "[" + ", ".join(_fmt_float(v) if isinstance(v, float) else str(v)
+                                  for v in value) + "]"
+            return
         keys = list(value[0]) if type(value[0]) is dict else None
         if keys and all(type(row) is dict and list(row) == keys for row in value):
             table = _table(value, indent + 1)
             if table is not None:
-                return "[\n" + table + "\n" + pad + "]"
-        rows = [f"{inner}{to_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return _json_escape(str(value))
+                yield "[\n" + table + "\n" + pad + "]"
+                return
+        items, brackets = [("", v) for v in value], "[]"
+    else:
+        yield (_LITERALS[value] if value is None or isinstance(value, bool) else
+               _fmt_float(value) if isinstance(value, float) else
+               str(value) if isinstance(value, int) else _json_escape(str(value)))
+        return
+    for i, (key, v) in enumerate(items):
+        yield ("," if i else brackets[0]) + "\n" + inner + key
+        yield from json_chunks(v, indent + 1)
+    yield "\n" + pad + brackets[1] if items else brackets
 
 
 # -- the run ------------------------------------------------------------------------
@@ -561,13 +566,13 @@ _OUTPUTS = {
 
 # -- entry point ---------------------------------------------------------------------
 
-def _write(config: RunConfig, payload: str) -> None:
+def _write(config: RunConfig, chunks: list[str]) -> None:
     if config.output is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(config.output, "w", newline="") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
     except OSError as err:
         raise UsageError(f"cannot write --output {config.output!r}: {err.strerror or err}") from err
 
@@ -595,7 +600,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write(f"error: family is {verdict}; comparison needs a creator\n")
             return _verdict_code(verdict)
         payload = _OUTPUTS[config.command][config.format](config, result)
-        _write(config, payload if isinstance(payload, str) else to_json(payload) + "\n")
+        # every piece is formatted, and a non-finite value raised, before the first is written
+        _write(config, [payload] if isinstance(payload, str) else [*json_chunks(payload), "\n"])
         return _verdict_code(verdict) if config.command == "analyze" else EXIT_OK
     except UsageError as err:  # an unwritable --output
         sys.stderr.write(f"error: {err}\n")

@@ -19,6 +19,8 @@ from .family import LineFamily
 
 MEMBERSHIP_TOL = 1e-9
 TANGENCY_TOL = 1e-5  # scaled by (1 + max |E'|); doubled at the endpoints
+BLOCK_POINTS = 8192  # samples per pass of the grid-sized stages: bounds their temporaries
+HALO = 1  # samples a difference reads past a block edge; the stencils assume 1
 
 
 class TooFewSamplesError(ValueError):
@@ -72,30 +74,55 @@ def envelope_point(family: LineFamily, creator: CreatorFunction, t: float) -> En
     return EnvelopePoint(float(t), tuple(points[0].tolist()), tuple(nus[0].tolist()), float(b[0]))
 
 
-def envelope_points(family: LineFamily, creator: CreatorFunction, ts: np.ndarray,
-                    scan: GridScan | None = None
+def envelope_points(family: LineFamily, creator: CreatorFunction, ts: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Points and normals (n x 2), offsets and creator values at the
-    parameters ts, with the lines, theta' and a' read from ``scan`` (the scan
-    at ts) or from one order-1 pass of the jets.  An error of the jets, then
-    of the creator, names its first failing parameter."""
-    if scan is not None:
-        c, s, a, tp, ap = scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime
-    else:
-        c, s, a, tp, ap = first_order(family, ts)
+    parameters ts, from one order-1 pass of the jets.  An error of the jets,
+    then of the creator, names its first failing parameter."""
+    c, s, a, tp, ap = first_order(family, ts)
     b = creator.on_grid(ts, tp, ap)
-    points = np.column_stack((a * c - b * s, a * s + b * c))
-    return points, np.column_stack((c, s)), a, b
+    return _on_lines(c, s, a, b), np.column_stack((c, s)), a, b
+
+
+def _on_lines(c, s, a, b) -> np.ndarray:
+    """E = a nu + b J nu (n x 2) on the lines (c, s, a)."""
+    return np.column_stack((a * c - b * s, a * s + b * c))
+
+
+def _blocks(n: int):
+    for lo in range(0, n, BLOCK_POINTS):
+        yield lo, min(lo + BLOCK_POINTS, n)
 
 
 def sample_envelope(family: LineFamily, creator: CreatorFunction, n: int,
                     scan: GridScan | None = None) -> EnvelopeCurve:
-    """The envelope at n uniform parameters across the family's domain."""
+    """The envelope at n uniform parameters across the family's domain.
+
+    Where every k-th parameter is a point of ``scan`` (bit for bit), the
+    lines, theta' and a' there are read from it; the other parameters are
+    evaluated in increasing order, in passes of at most ``BLOCK_POINTS``.
+    Every pass of the jets runs before the creator, which then runs block by
+    block, so the first error is the one a single pass over the grid meets."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    ts = parameter_grid(family.domain, n) if scan is None else scan.ts
-    points, nus, a, b = envelope_points(family, creator, ts, scan)
-    return EnvelopeCurve(ts, points, nus, b, a)
+    ts = parameter_grid(family.domain, n)
+    nus, offsets, points, b = np.empty((n, 2)), np.empty(n), np.empty((n, 2)), np.empty(n)
+    columns = (nus[:, 0], nus[:, 1], offsets, points[:, 0], points[:, 1])  # c, s, a, theta', a'
+    k = 0 if scan is None else (n - 1) // (scan.grid_n - 1)
+    k = k if k and np.array_equal(ts[::k], scan.ts) else 0  # every k-th parameter the scan's
+    scanned = (scan.c, scan.s, scan.a, scan.theta_prime, scan.a_prime) if k else ()
+    for column, values in zip(columns, scanned):
+        column[::k] = values
+    for lo, hi in _blocks(n):
+        i = np.arange(lo, hi)
+        i = i[i % k != 0] if k else i
+        if i.size:
+            for column, values in zip(columns, first_order(family, ts[i])):
+                column[i] = values
+    for lo, hi in _blocks(n):  # points holds theta' and a' until E replaces them
+        b[lo:hi] = creator.on_grid(ts[lo:hi], points[lo:hi, 0], points[lo:hi, 1])
+        points[lo:hi] = _on_lines(nus[lo:hi, 0], nus[lo:hi, 1], offsets[lo:hi], b[lo:hi])
+    return EnvelopeCurve(ts, points, nus, b, offsets)
 
 
 def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
@@ -106,30 +133,40 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     E' from central differences (second-order one-sided stencils at the
     endpoints, where the tolerance doubles), on strictly increasing
     parameters.  A tangency past the float range is a domain error there.
+    Both run over blocks of ``BLOCK_POINTS`` samples; a difference reads
+    ``HALO`` samples past each edge of its block.
     """
     n = len(curve.ts)
     if n < 5:
         raise TooFewSamplesError(n)
     ts, pts, nus = curve.ts, curve.points, curve.nus
-    if not np.all(np.diff(ts) > 0.0):
+    if not np.all(ts[1:] > ts[:-1]):
         raise ValueError("envelope verification needs strictly increasing parameters")
 
-    membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - curve.offsets)))
-
-    deriv = np.empty_like(pts)
+    membership, inner, edges, speed = [], [], [], []  # the maxima of each block
     # a tangency past the float range raises below; |E'|^2 past it, an infinite tolerance
     with np.errstate(all="ignore"):
-        deriv[1:-1] = (pts[2:] - pts[:-2]) / (ts[2:] - ts[:-2])[:, None]
-        h0, h1 = ts[1] - ts[0], ts[-1] - ts[-2]
-        deriv[0] = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * h0)
-        deriv[-1] = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * h1)
-        tangency = np.abs(np.einsum("ij,ij->i", deriv, nus))
-        scale = TANGENCY_TOL * (1.0 + float(np.max(np.linalg.norm(deriv, axis=1))))
-    bad = np.flatnonzero(~np.isfinite(tangency))
-    if bad.size:
-        raise ExpressionDomainError("dE/dt", float(ts[bad[0]]),
-                                    "the finite difference of the envelope is not finite (overflow)")
-    tangency_ok = (float(np.max(tangency[1:-1])) <= scale
-                   and float(max(tangency[0], tangency[-1])) <= 2.0 * scale)
-    passed = membership <= MEMBERSHIP_TOL and tangency_ok
-    return VerificationReport(n, float(np.max(tangency)), membership, passed, scale)
+        first = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * (ts[1] - ts[0]))
+        last = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * (ts[-1] - ts[-2]))
+        for lo, hi in _blocks(n):
+            membership.append(np.max(np.abs(
+                np.einsum("ij,ij->i", pts[lo:hi], nus[lo:hi]) - curve.offsets[lo:hi])))
+            i0, i1 = max(lo, HALO), min(hi, n - HALO)  # the points with a central difference
+            ahead, behind = slice(i0 + HALO, i1 + HALO), slice(i0 - HALO, i1 - HALO)
+            i0, i1 = i0 - lo, i1 - lo  # within the block, whose other points are ends
+            deriv = np.empty((hi - lo, 2))
+            deriv[i0:i1] = (pts[ahead] - pts[behind]) / (ts[ahead] - ts[behind])[:, None]
+            deriv[:i0], deriv[i1:] = first, last
+            tangency = np.abs(np.einsum("ij,ij->i", deriv, nus[lo:hi]))
+            bad = np.flatnonzero(~np.isfinite(tangency))
+            if bad.size:
+                raise ExpressionDomainError(
+                    "dE/dt", float(ts[lo + bad[0]]),
+                    "the finite difference of the envelope is not finite (overflow)")
+            inner.append(np.max(tangency[i0:i1], initial=0.0))
+            edges.append(np.max(np.r_[tangency[:i0], tangency[i1:]], initial=0.0))
+            speed.append(np.max(np.linalg.norm(deriv, axis=1)))
+        scale = TANGENCY_TOL * (1.0 + float(np.max(speed)))
+    membership, inner, edges = (float(np.max(maxima)) for maxima in (membership, inner, edges))
+    passed = membership <= MEMBERSHIP_TOL and inner <= scale and edges <= 2.0 * scale
+    return VerificationReport(n, max(inner, edges), membership, passed, scale)

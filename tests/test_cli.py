@@ -1,12 +1,14 @@
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from envlines import cli
 from envlines.cli import (
     EXIT_EXPR_ERROR,
     EXIT_INCONCLUSIVE,
@@ -490,6 +492,12 @@ class TestJsonWriter:
             assert to_json(value) == _to_json_per_value(plain)
             assert json.loads(to_json(value)) == plain
 
+    @pytest.mark.parametrize("row_block", [1, 2, 5, 12, 13])
+    def test_row_blocks_give_the_same_bytes(self, monkeypatch, row_block):
+        # 12 rows: blocks that divide them, that do not, and one block
+        monkeypatch.setattr(cli, "ROW_BLOCK", row_block)
+        self.test_float_arrays_match_per_value_formatting()
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_array_is_an_empty_list(self, shape):
         assert to_json(np.empty(shape)) == "[]"
@@ -581,6 +589,48 @@ def _fmt_float_per_value(x):
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
     return format(float(x), ".17g")
+
+
+class TestStreamedOutput:
+    """The document is written in pieces, each float array a block of rows at
+    a time, and only once every piece is formatted."""
+
+    def test_document_is_written_in_pieces(self, monkeypatch, tmp_path):
+        # the grid-10001 document holds 50,039 floats in 1.18 MB; formatted
+        # whole, joined and then written, it peaked at about 3.3 times that
+        family = cli._build_family(parse_cli(["analyze", "--example", "1"]))
+        result = cli.analyze(family, 10001)
+        monkeypatch.setattr(cli, "analyze", lambda *args: result)
+        path = tmp_path / "doc.json"
+        tracemalloc.start()
+        try:
+            code = main(["analyze", "--example", "1", "--grid-n", "10001",
+                         "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+    def test_non_finite_value_writes_nothing(self, monkeypatch, capsys, tmp_path, output):
+        # the NaN sits in the last block of the last sample array, after
+        # pieces that format cleanly
+        build = cli.build_document
+
+        def with_nan(config, result):
+            doc = build(config, result)
+            doc["envelope"]["samples"][-1, 1] = math.nan
+            return doc
+
+        monkeypatch.setattr(cli, "ROW_BLOCK", 7)
+        monkeypatch.setattr(cli, "build_document", with_nan)
+        path = tmp_path / "doc.json"
+        argv = ["analyze", *EXAMPLE1, "--grid-n", "101", *(["--output", str(path)] * output)]
+        with pytest.raises(ValueError, match="^non-finite value nan cannot be serialized$"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert not path.exists()
 
 
 def _escape_per_value(text):

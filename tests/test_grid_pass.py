@@ -1,5 +1,7 @@
-"""One grid pass per run: the analysis grid and the verification grid are
-each evaluated once, and everything else reads from those passes."""
+"""One grid pass per run: the analysis grid is evaluated once, the
+verification grid evaluates only the parameters between its points, once
+each, in passes of at most ``envelope.BLOCK_POINTS``, and everything else
+reads from those passes."""
 
 import contextlib
 import io
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import envlines
-from envlines import analysis, family as family_module, jets
+from envlines import analysis, envelope, family as family_module, jets, verification_n
 from envlines.analysis import CreatorFunction, UndefinedCreatorError
 from envlines.cli import _build_family, main, parse_cli
 from envlines.discriminant import SliceSolution, sample_discriminant
@@ -43,10 +45,48 @@ def large_passes(monkeypatch):
     return sizes
 
 
-def test_creative_run_evaluates_each_grid_once(large_passes):
-    # one pass over the analysis grid, one over the 4(n-1)+1 verification grid
-    assert _run(SINE_TANGENT_FINE) == 0
-    assert large_passes == [10001, 40001]
+def _check_each_grid_evaluated_once(monkeypatch, grid_n):
+    """The scan's pass over the analysis grid; the envelope there evaluates
+    nothing, and the 4(n-1)+1-point verification grid evaluates only the
+    3(n-1) parameters between the scan's points, once each, in order."""
+    calls, sampling = [], [None]
+    coeff_jets, sample = family_module.LineFamily.coeff_jets, envlines.sample_envelope
+
+    def spy(self, t, order):
+        calls.append((sampling[0], np.array(t, dtype=float, copy=True, ndmin=1), order))
+        return coeff_jets(self, t, order)
+
+    def sampled(family, creator, n, *rest):
+        sampling[0] = n
+        try:
+            return sample(family, creator, n, *rest)
+        finally:
+            sampling[0] = None
+
+    monkeypatch.setattr(family_module.LineFamily, "coeff_jets", spy)
+    monkeypatch.setattr(envlines, "sample_envelope", sampled)
+    assert _run(["analyze", "--example", "1", "--grid-n", str(grid_n)]) == 0
+    family = _build_family(parse_cli(["analyze", "--example", "1"]))
+    grid = analysis.parameter_grid(family.domain, grid_n)
+    fine_n = verification_n(grid_n)
+    off_grid = np.delete(analysis.parameter_grid(family.domain, fine_n), np.s_[::4])
+    assert [(n, order) for n, t, order in calls if np.array_equal(t, grid)] == [(None, 1)]
+    # outside sampling, the scan's pass is the only one over more than 1,000 parameters
+    assert [t.size for n, t, _ in calls if n is None and t.size > 1000] == [grid_n]
+    assert not [t for n, t, _ in calls if n == grid_n]
+    verification = [(t, order) for n, t, order in calls if n == fine_n]
+    assert {order for _, order in verification} == {1}
+    assert max(t.size for t, _ in verification) <= envelope.BLOCK_POINTS
+    assert np.array_equal(np.concatenate([t for t, _ in verification]), off_grid)
+    assert off_grid.size == 3 * (grid_n - 1)
+
+
+def test_creative_run_evaluates_each_grid_once(monkeypatch):
+    _check_each_grid_evaluated_once(monkeypatch, 10001)  # 30,000 verification parameters
+
+
+def test_default_creative_run_evaluates_each_grid_once(monkeypatch):
+    _check_each_grid_evaluated_once(monkeypatch, 1001)  # 3,000 verification parameters
 
 
 def test_non_creative_run_evaluates_its_grid_once(large_passes):
