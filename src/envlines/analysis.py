@@ -60,15 +60,17 @@ class InvalidCreatorError(ValueError):
 
 @dataclass(frozen=True)
 class SingularPoint:
-    """A parameter where the Gauss map stalls, with its local resolution data.
+    """The one record of a stall of the Gauss map, with its resolution data.
 
-    ``theta_derivative_order`` is the smallest j >= 1 with theta^(j) != 0
-    (None when theta' is flat through order 4).  ``b_limit`` is the
-    L'Hopital value a^(j)/theta^(j) when the point is resolvable.
-    ``a_flat`` is set by the L'Hopital classification when a' vanishes
-    through order 4 there as well.  A resolvable point carries b's Taylor
-    coefficients b^(i)(t0)/i! (``series``, from ``b_limit`` on) and the
-    ``radius`` within which the creator evaluates them.
+    At an isolated stall, ``theta_derivative_order`` is the smallest j >= 1
+    with theta^(j) != 0 (None when theta' is flat through order 4), and
+    ``b_limit`` is the L'Hopital value a^(j)/theta^(j) when the point is
+    resolvable; ``a_flat`` is set when a' vanishes through order 4 as well.
+    A resolvable one carries b's Taylor coefficients b^(i)(t0)/i! (``series``,
+    from ``b_limit`` on) and the ``radius`` within which the creator uses them.
+    A flat run (``span`` = its ends) is resolvable when a' stays in its band
+    there; ``a_prime_at`` is a' where |a'| peaks on the run, which is ``t``
+    unless the run resolves (then ``t`` is its midpoint and ``b_limit`` b's fill).
     """
 
     t: float
@@ -79,6 +81,7 @@ class SingularPoint:
     a_flat: bool = False
     series: tuple[float, ...] = ()
     radius: float = 0.0
+    span: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,6 @@ class UniquenessVerdict:
 @dataclass(frozen=True)
 class CreativityReport:
     verdict: str
-    witnesses: tuple[SingularPoint, ...]
     creator: "CreatorFunction | None"
     notes: str
 
@@ -324,8 +326,11 @@ def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
     Sign changes of theta' are refined by bisection to width 1e-12;
     grid points inside the singularity band are flagged directly, and
     tangential roots (no sign change) are caught by minimizing |theta'|
-    over the bracketing cells.  A run of banded points long enough to
-    count as a flat interval is reported as one point at its midpoint.
+    over the bracketing cells.  Each stall gets one record, in order of t:
+    L'Hopital classifies the isolated points, and a run of banded points
+    long enough to count as a flat interval gets the record of
+    ``_flat_record`` in place of the points inside it (its midpoint still
+    bounds the series radii of its neighbours).
     """
     family, ts, tp, band = scan.family, scan.ts, scan.theta_prime, scan.band
     w = np.abs(tp)
@@ -370,7 +375,24 @@ def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
             continue
         accepted.append(k)
 
-    return _classify_points(family, np.array(candidates)[accepted], scan.scale_theta)
+    points = _classify_points(family, np.array(candidates)[accepted], scan.scale_theta)
+    flats = [_flat_record(scan, start, end) for start, end in scan.flat_runs]
+    isolated = [p for p in points  # the points inside a flat run are that run's
+                if not any(f.span[0] - 1e-12 <= p.t <= f.span[1] + 1e-12 for f in flats)]
+    return tuple(sorted(flats + isolated, key=lambda p: p.t))
+
+
+def _flat_record(scan: GridScan, start: int, end: int) -> SingularPoint:
+    """The record of the flat run of grid points start..end: the a'-band
+    test over the run, and b's constant fill, taken from the nearest
+    non-flat neighbour (the left one first; 0 when the whole domain is flat)."""
+    i = start - 1 if start > 0 else end + 1 if end < scan.grid_n - 1 else None
+    fill = 0.0 if i is None else float(scan.a_prime[i] / scan.theta_prime[i])
+    lo, hi = float(scan.ts[start]), float(scan.ts[end])
+    worst = start + int(np.argmax(np.abs(scan.a_prime[start:end + 1])))
+    ok = bool(abs(scan.a_prime[worst]) <= scan.a_band)
+    return SingularPoint(0.5 * (lo + hi) if ok else float(scan.ts[worst]), None,
+                         float(scan.a_prime[worst]), ok, fill if ok else None, span=(lo, hi))
 
 
 # -- uniqueness ----------------------------------------------------------------
@@ -388,20 +410,20 @@ def assess_uniqueness(scan: GridScan) -> UniquenessVerdict:
 # -- creator --------------------------------------------------------------------
 
 class CreatorFunction:
-    """Evaluation recipe for b(t) on the run's scan: the plain quotient
-    a'/theta' away from singular parameters, b's Taylor series near resolved
-    ones, and constant fills on flat intervals.  ``UserCreator`` evaluates a
-    validated user expression instead."""
+    """Evaluation recipe for b(t) on the run's scan from the resolvable records
+    of ``find_gauss_singular_points(scan)``: the plain quotient a'/theta' away
+    from singular parameters, b's Taylor series near resolved isolated ones,
+    and constant fills on resolved flat runs; b is undefined at the others.
+    ``UserCreator`` evaluates a validated user expression instead."""
 
     kind = "canonical"
 
-    def __init__(self, scan: GridScan, resolved: tuple[SingularPoint, ...],
-                 unresolved_ts: tuple[float, ...],
-                 flat_intervals: tuple[tuple[float, float, float], ...]):
+    def __init__(self, scan: GridScan, singulars: tuple[SingularPoint, ...]):
         self.scan = scan
-        self.resolved = resolved            # sorted by t, each with its series and radius
-        self.unresolved_ts = unresolved_ts
-        self.flat_intervals = flat_intervals  # (lo, hi, fill value)
+        ok = [p for p in singulars if p.resolvable]
+        self.resolved = tuple(p for p in ok if p.span is None)  # sorted by t, with their series
+        self.flat_intervals = tuple((*p.span, p.b_limit) for p in ok
+                                    if p.span is not None)  # (lo, hi, fill value)
 
     def __call__(self, t):
         """b at t, a float or a 1-d array of parameters in the family's domain."""
@@ -458,9 +480,7 @@ class CreatorFunction:
             b[extend] = fill[np.argmin(gap, axis=0)[near], 0]  # the first nearest interval
             todo[extend] = False
         if todo.any():
-            t = float(ts[np.argmax(todo)])
-            bad = min(self.unresolved_ts, key=lambda t0: abs(t - t0), default=t)
-            raise UndefinedCreatorError(float(bad))
+            raise UndefinedCreatorError(float(ts[np.argmax(todo)]))
         return b
 
     def __repr__(self) -> str:
@@ -474,7 +494,7 @@ class UserCreator(CreatorFunction):
     kind = "user"
 
     def __init__(self, scan: GridScan, expr: ExpressionAst):
-        super().__init__(scan, (), (), ())
+        super().__init__(scan, ())
         self.expr = expr
         self._program = JetProgram((expr,))
 
@@ -484,12 +504,6 @@ class UserCreator(CreatorFunction):
 
     def __repr__(self) -> str:
         return f"UserCreator({unparse(self.expr)!r})"
-
-
-def _assemble_canonical(scan: GridScan, isolated: tuple[SingularPoint, ...],
-                        fills: list[tuple[float, float, float]]) -> CreatorFunction:
-    return CreatorFunction(scan, tuple(p for p in isolated if p.resolvable),
-                           tuple(p.t for p in isolated if not p.resolvable), tuple(fills))
 
 
 def _star_residuals(creator: CreatorFunction, ts: np.ndarray, tp: np.ndarray,
@@ -509,53 +523,20 @@ _LEADS = {
 
 def assess_creativity(scan: GridScan,
                       singulars: tuple[SingularPoint, ...]) -> CreativityReport:
-    """Creativity verdict with witnesses and, when creative, the canonical
-    creator; ``singulars`` are ``find_gauss_singular_points(scan)``."""
+    """Creativity verdict and, when creative, the canonical creator, from one
+    walk over the records ``singulars`` = ``find_gauss_singular_points(scan)``."""
     notes: list[str] = []
-    fatal = False
-    undecided = False
-
-    # per flat run: a witness, and b's constant fill (lo, hi, fill), extended
-    # from the nearest non-flat boundary
-    fills: list[tuple[float, float, float]] = []
-    witnesses: list[SingularPoint] = []
-    for start, end in scan.flat_runs:
-        if start > 0:
-            i = start - 1  # prefer the left boundary
-        elif end < scan.grid_n - 1:
-            i = end + 1
-        else:
-            i = None  # the whole domain is flat: any creator works, use 0
-        fill = 0.0 if i is None else float(scan.a_prime[i] / scan.theta_prime[i])
-        lo, hi = float(scan.ts[start]), float(scan.ts[end])
-        fills.append((lo, hi, fill))
-        segment = np.abs(scan.a_prime[start:end + 1])
-        worst = start + int(np.argmax(segment))
-        a_ok = bool(segment[worst - start] <= scan.a_band)
-        witnesses.append(SingularPoint(
-            t=float(0.5 * (lo + hi) if a_ok else scan.ts[worst]),
-            theta_derivative_order=None,
-            a_prime_at=float(scan.a_prime[worst]),
-            resolvable=a_ok,
-            b_limit=fill if a_ok else None,
-        ))
-        if not a_ok:
-            fatal = True
-            notes.append(
-                f"theta' vanishes on [{lo!r}, {hi!r}] "
-                f"but a' does not (|a'| = {float(segment[worst - start])!r} "
-                f"at t = {float(scan.ts[worst])!r})"
-            )
-
-    def in_flat(t: float) -> bool:
-        return any(lo - 1e-12 <= t <= hi + 1e-12 for lo, hi, _ in fills)
-
-    isolated = tuple(p for p in singulars if not in_flat(p.t))
-    for point in isolated:
-        witnesses.append(point)
+    fatal = undecided = False
+    for point in singulars:
         if point.resolvable:
             continue
-        if point.theta_derivative_order is None and point.a_flat:
+        if point.span is not None:
+            fatal = True
+            notes.append(
+                f"theta' vanishes on [{point.span[0]!r}, {point.span[1]!r}] "
+                f"but a' does not (|a'| = {abs(point.a_prime_at)!r} at t = {point.t!r})"
+            )
+        elif point.theta_derivative_order is None and point.a_flat:
             undecided = True
             notes.append(
                 f"theta' and a' both vanish through order {LHOPITAL_DEPTH} at t = {point.t!r}; "
@@ -575,7 +556,7 @@ def assess_creativity(scan: GridScan,
         verdict = INCONCLUSIVE
     else:
         verdict = CREATIVE
-        creator = _assemble_canonical(scan, isolated, fills)
+        creator = CreatorFunction(scan, singulars)
         miss = None
         try:
             res = _star_residuals(creator, scan.ts, scan.theta_prime, scan.a_prime)
@@ -591,9 +572,9 @@ def assess_creativity(scan: GridScan,
             verdict = INCONCLUSIVE
             creator = None
             notes.append(miss)
-        elif fills:
+        elif creator.flat_intervals:
             notes.append(
-                f"creator under-determined on {len(fills)} flat interval(s); "
+                f"creator under-determined on {len(creator.flat_intervals)} flat interval(s); "
                 "canonical constant fill applied (any smooth b works there)"
             )
 
@@ -603,8 +584,7 @@ def assess_creativity(scan: GridScan,
         f"with eps_sing = {EPS_SING}, eps_cre = {EPS_CRE}, eps_star = {EPS_STAR}, "
         f"L'Hopital depth {LHOPITAL_DEPTH}"
     )
-    witnesses.sort(key=lambda p: p.t)
-    return CreativityReport(verdict, tuple(witnesses), creator,
+    return CreativityReport(verdict, creator,
                             "; ".join([_LEADS[verdict]] + notes))
 
 

@@ -123,7 +123,7 @@ input modes (exactly one):
 other flags:
   --domain LO:HI             parameter interval (default -10:10)
   --grid-n N                 grid size, {MIN_GRID_N}..{MAX_GRID_N} (default {DEFAULT_GRID_N}; env {GRID_ENV_VAR});
-                             memory grows with N: about 81 MB peak RSS at 40001
+                             memory grows with N: about 47 MB peak RSS at 40001
   --user-b EXPR              creator override (validated against a' = b theta')
   --output PATH              write here instead of stdout
   --format FMT               json | csv | svg (per-command defaults apply)
@@ -444,7 +444,6 @@ def build_document(config: RunConfig, result: Analysis) -> dict:
     doc["gauss_singular_points"] = [_singular_entry(p) for p in result.singulars]
     doc["creativity"] = {
         "verdict": result.creativity.verdict,
-        "witnesses": [_singular_entry(p) for p in result.creativity.witnesses],
         "notes": result.creativity.notes,
     }
     doc["uniqueness"] = {

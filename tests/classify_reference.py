@@ -1,6 +1,8 @@
-"""L'Hopital classification one singular parameter at a time, on plain
-floats.  The array code of ``analysis._classify_points`` must give exactly
-the same ``SingularPoint``s, field for field and bit for bit."""
+"""L'Hopital classification one singular parameter at a time, and the
+record of a flat run one grid point at a time, on plain floats.  The array
+code of ``analysis._classify_points`` and the flat records of
+``find_gauss_singular_points`` must give exactly the same
+``SingularPoint``s, field for field and bit for bit."""
 
 import math
 
@@ -60,3 +62,33 @@ def assert_classified_as_reference(points, family, scale_theta: float) -> None:
     int from a numpy integer)."""
     ts = np.array([p.t for p in points])
     assert list(map(repr, points)) == list(map(repr, classify_reference(family, ts, scale_theta)))
+
+
+def flat_record_reference(scan, start: int, end: int) -> SingularPoint:
+    """The record of the flat run of grid points start..end: resolvable iff
+    every |a'| on the run is inside the a'-band, at the run's midpoint then
+    and at its first point of largest |a'| otherwise, with b's fill from the
+    left neighbour, else the right one, else 0."""
+    ts, tp, ap = scan.ts.tolist(), scan.theta_prime.tolist(), scan.a_prime.tolist()
+    run = range(start, end + 1)
+    worst = max(run, key=lambda i: abs(ap[i]))  # the first of equal maxima
+    ok = all(abs(ap[i]) <= scan.a_band for i in run)
+    if start > 0:
+        fill = ap[start - 1] / tp[start - 1]
+    elif end < len(ts) - 1:
+        fill = ap[end + 1] / tp[end + 1]
+    else:
+        fill = 0.0
+    return SingularPoint(0.5 * (ts[start] + ts[end]) if ok else ts[worst], None, ap[worst], ok,
+                         fill if ok else None, span=(ts[start], ts[end]))
+
+
+def assert_records_follow_the_rules(records, classified, scan) -> None:
+    """The records of ``find_gauss_singular_points`` are, in order of t, one
+    record per flat run, as the reference makes it, and the classified
+    points outside every flat run, unchanged."""
+    flats = [flat_record_reference(scan, start, end) for start, end in scan.flat_runs]
+    isolated = [p for p in classified
+                if not any(f.span[0] - 1e-12 <= p.t <= f.span[1] + 1e-12 for f in flats)]
+    expected = sorted(flats + isolated, key=lambda p: p.t)
+    assert list(map(repr, records)) == list(map(repr, expected))

@@ -32,7 +32,4 @@ def creator_reference(creator, t: float) -> float:
                            key=lambda iv: max(iv[0] - t, t - iv[1], 0.0))
         if max(lo - t, t - hi, 0.0) <= scan.step:
             return fill
-    bad = t
-    if creator.unresolved_ts:
-        bad = min(creator.unresolved_ts, key=lambda t0: abs(t - t0))
-    raise UndefinedCreatorError(float(bad))
+    raise UndefinedCreatorError(float(t))

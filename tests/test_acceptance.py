@@ -96,11 +96,12 @@ def test_criterion_2_creativity_negatives():
 
     start = time.perf_counter()
     evolute = build_family_general(P("1"), P("cos t"), P("-t - cos t*sin t"), (-10.0, 10.0))
-    evolute_report = assess_creativity(*scan_and_singulars(evolute, 1001))
+    evolute_scan, evolute_singulars = scan_and_singulars(evolute, 1001)
+    evolute_report = assess_creativity(evolute_scan, evolute_singulars)
     t_evolute = time.perf_counter() - start
 
-    witnesses = sorted(p.t for p in evolute_report.witnesses)
-    witness_ok = len(witnesses) == 7 and all(
+    witnesses = sorted(p.t for p in evolute_singulars)
+    witness_ok = len(witnesses) == 7 and not any(p.resolvable for p in evolute_singulars) and all(
         abs(t - expected) <= 1e-6 for t, expected in zip(witnesses, KPI)
     )
     check(

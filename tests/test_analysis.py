@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from envlines import (
     find_gauss_singular_points,
     parse_expression,
 )
-from envlines.analysis import _assemble_canonical, _star_residuals, parameter_grid, scan_grid
+from envlines import analysis
+from envlines.analysis import CreatorFunction, _star_residuals, parameter_grid, scan_grid
+from envlines.cli import _build_family, parse_cli
 from conftest import scan_and_singulars, sine_b_reference
 from exprgen import gentle_expression
 
@@ -75,6 +78,52 @@ class TestFindSingularPoints:
         assert all(abs(p.a_prime_at) > 0.1 for p in points)
 
 
+class TestOneRecordPerStall:
+    """Each stall of the Gauss map has one record, which the verdict, its
+    notes and the creator all read."""
+
+    @staticmethod
+    def _example(k, grid_n=1001):
+        return analyze(_build_family(parse_cli(["analyze", "--example", str(k)])), grid_n)
+
+    def test_still_family_has_one_resolvable_record(self):
+        run = self._example(2)
+        (record,) = run.singulars
+        assert record.t == 0.0 and record.span == (-1.0, 1.0)
+        assert record.resolvable and record.theta_derivative_order is None
+        assert run.creator.flat_intervals == ((-1.0, 1.0, record.b_limit),)
+
+    def test_parallel_shift_record_sits_where_a_prime_peaks(self):
+        run = self._example(3)
+        (record,) = run.singulars
+        i = int(np.argmax(np.abs(run.scan.a_prime)))
+        assert record.t == float(run.scan.ts[i]) == -1.0
+        assert record.a_prime_at == float(run.scan.a_prime[i])
+        assert not record.resolvable and record.b_limit is None
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("grid_n", [16, 1001])
+    def test_notes_cite_only_record_parameters(self, k, grid_n):
+        run = self._example(k, grid_n)
+        cited = [float(t) for t in re.findall(r"at t = ([^ ;)]+)", run.creativity.notes)]
+        assert set(cited) <= {p.t for p in run.singulars}
+        assert len(cited) == sum(not p.resolvable for p in run.singulars)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_each_flat_run_is_decided_once(self, monkeypatch, k):
+        flat_record, runs = analysis._flat_record, []
+
+        def spy(scan, start, end):
+            runs.append((start, end))
+            return flat_record(scan, start, end)
+
+        monkeypatch.setattr(analysis, "_flat_record", spy)
+        run = self._example(k)
+        assert runs == list(run.scan.flat_runs)
+        assert [p.span for p in run.singulars if p.span is not None] == [
+            (float(run.scan.ts[start]), float(run.scan.ts[end])) for start, end in runs]
+
+
 class TestCreatorAt:
     """The run's creator answers a point query with the run's singular points."""
 
@@ -88,7 +137,7 @@ class TestCreatorAt:
     def test_evolute_undefined_at_singular_parameter(self, sine_evolute):
         # not creative, so no run has a creator: assemble one from the points
         scan, singulars = scan_and_singulars(sine_evolute, 1001)
-        creator = _assemble_canonical(scan, singulars, [])
+        creator = CreatorFunction(scan, singulars)
         with pytest.raises(UndefinedCreatorError) as err:
             creator(math.pi)
         assert abs(err.value.t - math.pi) <= 1e-9
@@ -109,9 +158,9 @@ class TestAssessCreativity:
         assert report.creator is None
 
     def test_evolute_not_creative(self, sine_evolute):
-        report = assess_creativity(*scan_and_singulars(sine_evolute, 1001))
-        assert report.verdict == NOT_CREATIVE
-        unresolved = [p for p in report.witnesses if not p.resolvable]
+        scan, singulars = scan_and_singulars(sine_evolute, 1001)
+        assert assess_creativity(scan, singulars).verdict == NOT_CREATIVE
+        unresolved = [p for p in singulars if not p.resolvable]
         assert len(unresolved) == 7
 
     def test_still_family_creative_with_whole_domain_flat(self, still_family):

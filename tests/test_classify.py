@@ -1,11 +1,12 @@
 """The array L'Hopital classification against the loop over the points
-(``classify_reference``), field for field and bit for bit, on families
-whose singular points cover every order, resolvable or not, and flat runs."""
+(``classify_reference``), and the records built from it, field for field
+and bit for bit, on families whose singular points cover every order,
+resolvable or not, and flat runs."""
 
 import pytest
 
 import test_ground_truth
-from classify_reference import assert_classified_as_reference
+from classify_reference import assert_classified_as_reference, assert_records_follow_the_rules
 from envlines import analysis, build_family_general, build_family_normalized, parse_expression
 from envlines.analysis import find_gauss_singular_points, scan_grid
 from envlines.cli import _build_family, parse_cli
@@ -32,25 +33,36 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("name", list(FAMILIES))
-def test_classification_matches_the_loop_reference(name):
-    build, grid_n = FAMILIES[name]
-    family = build()
-    scan = scan_grid(family, grid_n)
-    points = find_gauss_singular_points(scan)
-    assert_classified_as_reference(points, family, scan.scale_theta)
-
-
-def test_ground_truth_draws_match_the_loop_reference(monkeypatch):
-    # the draws of the ground-truth property itself, which its source seeds
+def _spy_classification(monkeypatch):
+    """Every ``_classify_points`` call's output from now on, each checked
+    against the loop reference."""
     classify, calls = analysis._classify_points, []
 
     def checked(family, ts, scale_theta):
         points = classify(family, ts, scale_theta)
         assert_classified_as_reference(points, family, scale_theta)
-        calls.append(len(points))
+        calls.append(points)
         return points
 
     monkeypatch.setattr(analysis, "_classify_points", checked)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_classification_matches_the_loop_reference(monkeypatch, name):
+    # the classification sees every candidate, flat midpoints included; the
+    # records then put one a'-band record in place of each flat run
+    build, grid_n = FAMILIES[name]
+    family = build()
+    scan = scan_grid(family, grid_n)
+    calls = _spy_classification(monkeypatch)
+    records = find_gauss_singular_points(scan)
+    assert len(calls) == 1
+    assert_records_follow_the_rules(records, calls[0], scan)
+
+
+def test_ground_truth_draws_match_the_loop_reference(monkeypatch):
+    # the draws of the ground-truth property itself, which its source seeds
+    calls = _spy_classification(monkeypatch)
     test_ground_truth.test_stall_of_order_j_has_the_exact_creator()
     assert len(calls) >= 36 and all(calls)

@@ -161,6 +161,14 @@ class TestAnalyzeDocument:
             assert doc["creativity"]["verdict"] == entry["expected_verdict"], entry["name"]
             assert doc["uniqueness"]["verdict"] == entry["expected_uniqueness"], entry["name"]
 
+    @pytest.mark.parametrize("grid_n", [16, 1001])
+    def test_singular_points_are_listed_once(self, grid_n):
+        # gauss_singular_points is the one list of stalls: creativity has no second one
+        assert set(SCHEMA["properties"]["creativity"]["properties"]) == {"verdict", "notes"}
+        for n in WORKED_EXAMPLES:
+            doc = run_analyze(parse_cli(["analyze", "--example", str(n), "--grid-n", str(grid_n)]))
+            assert set(doc["creativity"]) == {"verdict", "notes"}, n
+
     @pytest.mark.parametrize("grid_n", [101, 1001])
     def test_notes_do_not_depend_on_the_numpy_version(self, grid_n):
         # numpy 2 writes a numpy scalar as np.float64(1.0)

@@ -12,7 +12,7 @@ from creator_reference import creator_reference
 from envlines import (OutOfDomainError, UndefinedCreatorError, UserCreator, analyze,
                       assess_creativity, build_creator, build_family_normalized,
                       find_gauss_singular_points, parse_expression)
-from envlines.analysis import EPS_SING, _assemble_canonical, _first_derivatives, scan_grid
+from envlines.analysis import EPS_SING, CreatorFunction, _first_derivatives, scan_grid
 from envlines.cli import _build_family, main, parse_cli
 from envlines.family import LineFamily
 from conftest import scan_and_singulars
@@ -21,9 +21,9 @@ SINE_TANGENT_WIDE = ["analyze", "--A", "-cos t", "--B", "1", "--C", "t*cos t - s
                      "--domain", "-1000:1000"]
 
 
-def _probes(creator, scan, zones):
+def _probes(creator, scan, singulars, zones):
     """Case boundaries of the reference in the domain, each with its float
-    neighbours."""
+    neighbours; the stall parameters come from the run's records."""
     cell = scan.ts[1] - scan.ts[0]
     ts = []
     for point in creator.resolved[:zones]:
@@ -33,7 +33,7 @@ def _probes(creator, scan, zones):
         ts += [lo - 1e-12, hi + 1e-12, lo - cell, hi + cell, lo - 2.0 * cell, hi + 2.0 * cell,
                0.5 * (lo + hi)]
     ts += scan.ts[np.abs(scan.theta_prime) <= EPS_SING * scan.scale_theta].tolist()
-    ts += list(creator.unresolved_ts) + scan.ts[::97].tolist()
+    ts += [p.t for p in singulars] + scan.ts[::97].tolist()
     ts = np.array(ts)
     ts = np.concatenate((ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf)))
     lo, hi = creator.scan.family.domain
@@ -47,8 +47,8 @@ def _outcome(f, t):
         return str(err)
 
 
-def _check(creator, scan, zones=None):
-    ts = _probes(creator, scan, zones)
+def _check(creator, scan, singulars, zones=None):
+    ts = _probes(creator, scan, singulars, zones)
     expected = [_outcome(lambda u: creator_reference(creator, u), t) for t in ts.tolist()]
     assert [_outcome(creator, t) for t in ts.tolist()] == expected
     first_error = next((e for e in expected if isinstance(e, str)), None)
@@ -60,14 +60,16 @@ def _check(creator, scan, zones=None):
 def test_worked_example_creator_matches_reference(example):
     family = _build_family(parse_cli(["analyze", "--example", str(example)]))
     scan = scan_grid(family, 1001)
-    _check(assess_creativity(scan, find_gauss_singular_points(scan)).creator, scan)
+    singulars = find_gauss_singular_points(scan)
+    _check(assess_creativity(scan, singulars).creator, scan, singulars)
 
 
 def test_undefined_creator_matches_reference(sine_evolute):
-    # every point unresolved: the error names the nearest one, as the reference does
+    # every point unresolved: the error names the first parameter left
+    # uncovered, as the reference does
     scan = scan_grid(sine_evolute, 1001)
     singulars = find_gauss_singular_points(scan)
-    _check(_assemble_canonical(scan, singulars, []), scan)
+    _check(CreatorFunction(scan, singulars), scan, singulars)
 
 
 def test_wide_creator_matches_reference():
@@ -75,9 +77,10 @@ def test_wide_creator_matches_reference():
     # so it is checked around the first 64
     family = _build_family(parse_cli(SINE_TANGENT_WIDE))
     scan = scan_grid(family, 10001)
-    creator = assess_creativity(scan, find_gauss_singular_points(scan)).creator
+    singulars = find_gauss_singular_points(scan)
+    creator = assess_creativity(scan, singulars).creator
     assert len(creator.resolved) == 637
-    _check(creator, scan, zones=64)
+    _check(creator, scan, singulars, zones=64)
 
 
 def _sine_cubed():

@@ -119,9 +119,9 @@ class TestVerifyEnvelope:
 
     def test_undefined_creator_propagates_offending_parameter(self, parallel_shift):
         from envlines import UndefinedCreatorError
-        from envlines.analysis import _assemble_canonical
+        from envlines.analysis import CreatorFunction
         scan, singulars = scan_and_singulars(parallel_shift, 1001)
-        creator = _assemble_canonical(scan, singulars, [])
+        creator = CreatorFunction(scan, singulars)
         with pytest.raises(UndefinedCreatorError) as err:
             sample_envelope(parallel_shift, creator, 5)
         assert -1.0 <= err.value.t <= 1.0

@@ -4,7 +4,8 @@ Each invocation runs in a fresh interpreter, and the sha256 of
 ``repr((exit code, stdout bytes, stderr bytes))`` must equal the pinned
 digest.  A change that claims byte-identical output keeps this file as it
 is; a change that means to alter some output updates those digests and says
-why.  To print the digests of the current tree:
+why.  To print the digests of the current tree, each one that differs from
+its pinned digest marked, and the count of those last:
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 """
@@ -66,44 +67,44 @@ INVOCATIONS = {
 }
 
 DIGESTS = {
-    "example-1-grid-16": "4b14979494e977f13703b96f8a190625744460768a9cf09e51f8c284e9e5097e",
-    "example-1-grid-257": "2cb8ccaff12ce504437b77c80f70f665fa40def791567f00d8c28621b1ecfd1f",
-    "example-1-grid-1001": "e1afc8cc655877e68e0c1a8589c1a4908992cd17439b235742108b176fe4b878",
-    "example-1-grid-10001": "f1b1c496983af5e7c54033f38c2404a3d738b62b83129f7b46508e1cdab752b4",
-    "example-2-grid-16": "f37ab878a7b26704a55fa6e90af9bb0e1123ce3b2b499a0b28a7fc460a672606",
-    "example-2-grid-257": "21acdc61e59984427dfdd5c43c97c3413af27f2acc99f7dff4f2bdbed50191c1",
-    "example-2-grid-1001": "3b7d08f4640cdde16452c25a4329e4daf74a137bb2db290721c51d44cca7abc2",
-    "example-3-grid-16": "a71a2e90f2ea49e073de51f76c767bd34d5715e0af75792d4df2df4687adf5d4",
-    "example-3-grid-257": "0daa028808297b7de74408ee16ee7220ca96a05754ebbd848c894f65675eaa3e",
-    "example-3-grid-1001": "b9a5226e8cc9be737adc66fb6cd2da503bd45276d41022c2d3545278e596939f",
-    "example-4-grid-16": "8007a497934e21085a237b53627ebf9705e56f41bac9625540959018fe8120e6",
-    "example-4-grid-257": "71077c477aa9fe6222ee254cc603db43d0f05a98f6281b9dba770d59da25c444",
-    "example-4-grid-1001": "bc7e4da0a47f70e457c95f81616445218dd4ef506d3de0009f803e3032b422f4",
-    "example-5-grid-16": "4b15ebe93e7a434d3125f4688fcbfe073335b73a48e15ffc396200ea91f1647f",
-    "example-5-grid-257": "c8de626d22426247c44ef920cfd9dda9a32b1c7ba819bd4ff08b6e2144e9eb3f",
-    "example-5-grid-1001": "ce7de76bec9e5dfeac1b1db96ce48c6b51f961776026f7c42d36eb61e58666a0",
-    "example-6-grid-16": "65f946c1c24b1080078de494dd5e2078ffb0ba5ea71a72b29b8334fb49192f45",
-    "example-6-grid-257": "e01c6035e8cbb74d4388faa00062144771664d9a01bffc790254ba243d824068",
-    "example-6-grid-1001": "cdc2d7753216564a7c5e0d0745e33c645cb82c3e6e04f5ddd8dd48939f9f24f5",
-    "example-7-grid-16": "63f3a5d6ffc02438d5ef66f72408da334a4071c9e8cb6aa3f7d8e599bf8cb9bb",
-    "example-7-grid-257": "ff35d52ac65ec2a8bd88de95ebc91383329633ddab1171c409cb8dce5f0ec69a",
-    "example-7-grid-1001": "d94f50334ac606ecfdf737df1b62dacf6ec7f3580e83bf832e593015ef4a2ea4",
+    "example-1-grid-16": "50ea5fa2b522dbe9c754630f2ea0ddb0000be17669fc829eac5ec4d2cad865aa",
+    "example-1-grid-257": "0cb6ab5d7b6f5c50f315f7e95b1d6065349614d8e5fc9c588bc15b261e4ede3f",
+    "example-1-grid-1001": "0c138fc8accc6736a97fab967393d385ad1fa351bc83c267844366585bbcf878",
+    "example-1-grid-10001": "a11e92a620f0e8f88c0d60f9cae92ab2d67e0b0942bb88071faeb675197fc742",
+    "example-2-grid-16": "78744a6a20e346169e9ecd79b31fccb8bc1840eb9a0d923a7297c72c762ff34e",
+    "example-2-grid-257": "6dc980c6c3435ed506bc6755724ea1c3328d83338254eb9b431cca70ef1e36cc",
+    "example-2-grid-1001": "14c7e1da41410e2769189c04e3ea17090b3c4a861194ed63ddb8b4ba30d5b490",
+    "example-3-grid-16": "443401675a3e89458c81681b63f4c4560421cdabcbf52a43baf0a99d697a67c4",
+    "example-3-grid-257": "7f0df14df52c0d4f575035828dbde86c903aca1032093051f6de79173fcaf9e4",
+    "example-3-grid-1001": "76186905d7a1f1bef21e6d5a96653d780c7e6ba9e8131e198401e807fb9d40ee",
+    "example-4-grid-16": "0ac3e4e7706cac1826d10ac448f34c6705d5dff05d1d8750caa2eab3196fc511",
+    "example-4-grid-257": "fc367862a1d60987a9871c7014951cebd441bdf2c1afd53095e68e877ca4eed2",
+    "example-4-grid-1001": "9526185ebec73862256c0d50c12d1afa48c4337fd2612512860770dfbc9a6c4f",
+    "example-5-grid-16": "f01f142ca6e74b7614281bb50ea89dedd3ce89d2cb01f2b11ac2a10dec63ee3c",
+    "example-5-grid-257": "08fc8dae70ad54b81477f2445e247082990de175d8c1eaa9ab44e8e374086227",
+    "example-5-grid-1001": "6da3990bc6784038754f51908259c1718bc6ec508beb4a30855fe338070bf328",
+    "example-6-grid-16": "225200154256edb2d7a3c5474f92c2da0086cc74fd13dc53678570addaf125c4",
+    "example-6-grid-257": "04462e4ca5bf61029e30363ed4cb749069defa6c4068fa84ba84ed2040b8018e",
+    "example-6-grid-1001": "1187a5376ddc143eadb3fca13d20636475524e83f1eba8541c556c36756fe549",
+    "example-7-grid-16": "56e01cff952c238d1b33d1806719baf5edbb8f22784584427cb15560a89e96d9",
+    "example-7-grid-257": "e997cba45be82f041e9cb15e07e111e56fec68604e329786c17a9bd5ed075bc2",
+    "example-7-grid-1001": "6f845d0339ff1a4eb4ff3efbce9179abbf1bcd56d4d3e37060d386fed4ca67ec",
     "sine-tangent-envelope-csv": "5ddae99859913a7b5223970457a80d0a0d7037546e183edc5ab16af00100d616",
     "sine-tangent-discriminant-csv": "401fd6cd1049222d5d21e5a84a8bd06a001fa6555423d08aff7fa501230fa3b7",
     "sine-tangent-compare": "f596aa4fc9622f0429e2429259fe75c6ebb9d29bd54cc816f1de9e2c48bf4766",
     "sine-tangent-plot": "6f8901941b6de62bae1ee502e76cf95f146167fb7b10ec985d160ea1c29c726f",
-    "sine-evolute-wide": "f29bcf44395df7dd510f11b3592b768110e3fb9c4890136659812ddef630d6fc",
-    "sine-tangent-wide": "0409300c7af2019e072a1f3afd0d0e3e62395f6a126e0cbe0e42264572194bd0",
+    "sine-evolute-wide": "3cbb115b3234ecfa39e459ecb8c8a5487251ffb4affd95f178b7497297ae074b",
+    "sine-tangent-wide": "f5894eb1cd6d9680e92434a71819fd39f0b57d852494bb91903494e64bace761",
     "probe-log-plus-cos": "433902fd833542201c99d1eb8791c8814d2210b7910721151b49d5ff1060e4dc",
     "probe-constant-exponent": "fd7536043fdcee4c8ac4f027480d5524f96bfc1d4a949e96f8ac37c95ff9fbb2",
     "probe-general-sqrt-log": "310f4d28945134c0bc27945571b03fbf8af43a8690b1f9af030b93bb9d79e9dd",
     "probe-log-bracket": "d8e09980ddf30ce8eafa01891637dd9e07011610b4575c16cf7c475f84f24692",
     "sine-tangent-envelope-json": "c161756cdf00bf910ebedbe7645d3736ba1063c57b06d305013c1958c1a07d96",
     "sine-tangent-discriminant-json": "ee6c4b8c5bc2d0bb1268c70efa6eeadec179ae3138bd9975f4317b9b69502fce",
-    "example-2-user-b": "27a0a9ea8220f17ab0cbb9b6f84ef7c1afbf19dd1822025fd83623516d8edd10",
-    "example-6-unparsed-user-b": "86251fae58e670eb3c889968ecd58c991f78a41cfb1c35fc69fd62194597d8fa",
-    "probe-steep-cubic": "339269bde6c0a2761c0ab1ccc18aeef0d84afefc6c8b894b5e89f123f87369d3",
-    "probe-hidden-stall": "bb5fb41398fe1ee6272352df4055db34d0bc12b31bd9f8bfdea4265acd0c2f03",
+    "example-2-user-b": "4e19a77bab6c1655f9640e9e5567f6a6405d2a11e7fa5b2923bc833ce337bbb8",
+    "example-6-unparsed-user-b": "13652885ae15bca2cc8310cc595fe6dc3d5bd366bcfb775e3026e7ffa18bde31",
+    "probe-steep-cubic": "536f558edae9af14f4c960c0fc21dd19c2ee4ffaa64b003b5fad2724c385c581",
+    "probe-hidden-stall": "05c72942f07d89c37f91a1611d891532cbe89d7bc5f4c8dc7e3d8804d74b9426",
     "sine-evolute-compare": "e596ca678b1bf1a31f05fb113e1a5b632c8323752408d883355838e05cff1f94",
     "sine-evolute-plot": "e8ed1a97131e9ecfc43f3295c9b93ff9aa1acf24f3e666af4823c78b18adab66",
     "probe-sqrt-verification-grid": "7d9a3efb0a2f2fbb06b23170c1e6e91cb5bb9330efcbb6d8bf9ada6af9603298",
@@ -131,6 +132,10 @@ def test_output_bytes_are_pinned(digests, name):
 
 
 if __name__ == "__main__":
+    moved = 0
     with ThreadPoolExecutor(2) as pool:
         for name, digest in zip(INVOCATIONS, pool.map(_digest, INVOCATIONS.values())):
-            print(f'    "{name}": "{digest}",')
+            mark = "" if digest == DIGESTS.get(name) else "  # differs from DIGESTS"
+            moved += bool(mark)
+            print(f'    "{name}": "{digest}",{mark}')
+    print(f"# {moved} of {len(INVOCATIONS)} digests differ from DIGESTS")

@@ -189,13 +189,13 @@ def test_the_scan_owns_both_bands():
     assert set(sample_discriminant(scan, ()).kind.tolist()) == {0}
 
     quotient = tp > wide.band
-    creator = CreatorFunction(wide, (), (), ())
+    creator = CreatorFunction(wide, ())
     b = creator.on_grid(scan.ts[quotient], scan.theta_prime[quotient], scan.a_prime[quotient])
     assert np.array_equal(b, scan.a_prime[quotient] / scan.theta_prime[quotient])
     with pytest.raises(UndefinedCreatorError) as err:  # the first banded parameter
         creator.on_grid(scan.ts, scan.theta_prime, scan.a_prime)
     assert err.value.t == float(scan.ts[np.argmin(quotient)])
-    CreatorFunction(scan, (), (), ()).on_grid(scan.ts, scan.theta_prime, scan.a_prime)
+    CreatorFunction(scan, ()).on_grid(scan.ts, scan.theta_prime, scan.a_prime)
 
 
 def test_flat_fills_take_no_float_path(monkeypatch):
