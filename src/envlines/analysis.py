@@ -27,7 +27,8 @@ QUOTIENT_COND = 1e-6  # |theta'| level at which the quotient a'/theta' is truste
 LHOPITAL_DEPTH = 4
 SERIES_ORDER = MAX_ORDER  # jet order of the classification pass, which gives b's series
 ROOT_WIDTH = 1e-12
-LOOKAHEAD_POINTS = 128  # refinement pass size: 1 parameter costs about what 100 do
+PASS_POINTS = 4096  # parameters a refinement pass evaluates at most; its fixed cost is that of ~700
+_LOG2_3_2 = math.log2(1.5)  # bits of bracket width a ternary step removes: it keeps 2/3
 MIN_GRID_N = 16
 FLAT_LABEL = f"flat-to-order-{LHOPITAL_DEPTH}"
 
@@ -175,90 +176,165 @@ def grid_profile(scan: GridScan) -> dict[str, float]:
 
 # -- root refinement ---------------------------------------------------------
 
-def _tree(lo: np.ndarray, hi: np.ndarray, depth: int, ternary: bool) -> list[np.ndarray]:
-    """The points a step places in each row's [lo, hi] (the midpoint, or the
-    two trisection points) and in the first ``depth`` levels below it, one
-    array (rows x nodes) per kind of point.  Node j of level l is column
-    2^l - 1 + j; its children are nodes j (toward lo) and j + 2^l."""
-    a, b, levels = lo[:, None], hi[:, None], []
-    for _ in range(depth if lo.size else 0):
+def _aim(t: np.ndarray, f: np.ndarray, ternary: bool) -> np.ndarray:
+    """Where the models of theta' through each row's latest points t (oldest
+    first, theta' there f) put the point its search ends on: the root of the
+    secant through the last two for a bisection; for a ternary search, the
+    root of the parabola through all three that is nearest the last point,
+    or its vertex where it has no root.  NaN where a model is degenerate."""
+    (t0, t1, t2), (f0, f1, f2) = t.T, f.T
+    with np.errstate(all="ignore"):
+        d2 = (f2 - f1) / (t2 - t1)
+        if not ternary:
+            return t2 - f2 / d2
+        c = (d2 - (f1 - f0) / (t1 - t0)) / (t2 - t0)
+        slope = d2 + c * (t2 - t1)  # the parabola is f2 + slope u + c u^2, u = t - t2
+        disc = slope * slope - 4.0 * c * f2
+        return t2 + np.where(disc >= 0.0, -2.0 * f2 / (slope + np.copysign(np.sqrt(disc), slope)),
+                             -0.5 * slope / c)
+
+
+def _fit(depth: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The depths of a pass's rows (``points`` parameters a level) cut to the
+    largest common cap that keeps the pass within PASS_POINTS parameters;
+    where not even one level each fits, the first rows that fit take one
+    level and the others wait for a later pass."""
+    if depth @ points <= PASS_POINTS:
+        return depth
+    weight = np.bincount(depth, weights=points)
+    levels = np.arange(weight.size)
+    cost = np.cumsum(weight * levels) + levels * (weight.sum() - np.cumsum(weight))
+    cap = int(np.searchsorted(cost, PASS_POINTS, side="right")) - 1
+    return np.minimum(depth, cap) if cap else (np.cumsum(points) <= PASS_POINTS).astype(int)
+
+
+def _path(lo: np.ndarray, hi: np.ndarray, aim: np.ndarray, depth: int,
+          ternary: bool) -> list[np.ndarray]:
+    """The first ``depth`` levels of the path each row's steps take if every
+    outcome is the predicted one, toward lo where ``aim`` is at or below the
+    bracket's midpoint: arrays (levels x rows) of the brackets, the first
+    points a step places in them, the predictions and the second points.
+    The points are the midpoint (twice), or the two trisection points, each
+    computed as a step computes it."""
+    levels = []
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
         if ternary:
-            third = (b - a) / 3.0
-            m1, m2 = a + third, b - third
+            third = (hi - lo) / 3.0
+            m1, m2 = lo + third, hi - third
         else:
-            m1 = m2 = 0.5 * (a + b)
-        levels.append((m1, m2) if ternary else (m1,))
-        a, b = np.concatenate((a, m1), axis=1), np.concatenate((m2, b), axis=1)
-    return [np.concatenate(kind, axis=1) for kind in zip(*levels)]
+            m1 = m2 = mid
+        toward_lo = aim <= mid
+        levels.append((lo, hi, m1, toward_lo, m2) if ternary else (lo, hi, m1, toward_lo))
+        lo, hi = np.where(toward_lo, lo, m1), np.where(toward_lo, m2, hi)
+    path = [np.array(column) for column in zip(*levels)]
+    return path if ternary else path + [path[2]]
+
+
+def _walk(path: list[np.ndarray], f1: np.ndarray, f2: np.ndarray, depth: np.ndarray,
+          negative: np.ndarray, stop: np.ndarray, ternary: bool) -> tuple[np.ndarray, ...]:
+    """The rules of a step applied along each row's path, where theta' is f1
+    and f2 at its points: each row stops after a level that retires it or
+    whose outcome was not the predicted one, or after its last level.  The
+    level it stopped at, its bracket then, whether it retired, and whether
+    its whole path held."""
+    lo, hi, m1, toward_lo, m2 = path
+    if ternary:
+        left = np.abs(f1) <= np.abs(f2)
+        new_lo, new_hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    else:
+        left = negative != (f1 < 0.0)
+        exact = f1 == 0.0  # the midpoint is the root: close the bracket on it
+        new_lo, new_hi = np.where(left & ~exact, lo, m1), np.where(left | exact, m1, hi)
+    width = new_hi - new_lo
+    retired = (width <= stop) | (width == hi - lo)
+    held = left == toward_lo
+    last = np.argmax(~held | retired | (np.arange(len(lo))[:, None] == depth - 1), axis=0)
+    i = np.arange(depth.size)
+    return (last, new_lo[last, i], new_hi[last, i], retired[last, i],
+            held[last, i] & (last == depth - 1))
 
 
 def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-            dip_lo: np.ndarray, dip_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect every bracket [lo, hi] of a sign change of theta' (f_lo is
-    theta' at lo) to ROOT_WIDTH and ternary-search every [dip_lo, dip_hi] for
-    the minimum of |theta'| to ROOT_WIDTH/10; the roots and the minimizers.
-    A row also retires when a step leaves its bracket's width unchanged: one
-    ulp can exceed the stopping width, and such a bracket never changes again.
+            f_hi: np.ndarray, dips: np.ndarray, f_dips: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every bracket [lo, hi] of a sign change of theta' (f_lo and
+    f_hi are theta' at its ends) to ROOT_WIDTH, and ternary-search every dip
+    (t0, t1, t2), a row of ``dips`` with theta' there in ``f_dips``, over
+    [t0, t2] for the minimum of |theta'| to ROOT_WIDTH/10; the roots and the
+    minimizers.  A row also retires when a step leaves its bracket's width
+    unchanged: one ulp can exceed the stopping width, and such a bracket
+    never changes again.
 
-    All rows advance in lock-step.  Each array pass evaluates the first
-    levels of every open row's search tree, as many as fit in
-    LOOKAHEAD_POINTS parameters (at least one), and the rows then walk them
-    with the rules of one step.  The points are computed as a step computes
+    All rows advance in lock-step.  Each row keeps a model of theta' through
+    its latest points (``_aim``), seeded with the points it is given.  A pass
+    lays out, for each open row, the path its steps take if every outcome is
+    the one the model predicts (``_path``), and evaluates every path in one
+    array pass.  A path is 10 levels deep at first and twice the levels
+    walked after a pass whose whole path held, cut to the levels the row has
+    left and to PASS_POINTS parameters a pass (``_fit``).  Each row then
+    applies the rules of a step level by level (``_walk``).  The model only
+    sets how far a pass gets: the points are computed as a step computes
     them and the array jets round like the float jets, so each row ends on
     the bits of a loop over the rows.  A domain error, perhaps off every
-    row's path, runs the refinement again one level per pass; if that fails
-    too, the bisections and then the searches are replayed one at a time in
-    order, so the error names the parameter such a loop meets first."""
+    row's true path, runs the refinement again one level per pass; if that
+    fails too, the rows are replayed one at a time, bisections first, so the
+    error names the parameter such a loop meets first."""
+    k = lo.size
+    rows = (np.concatenate((lo, dips[:, 0])), np.concatenate((hi, dips[:, 2])),
+            np.concatenate((np.stack((lo, lo, hi), axis=1), dips)),  # the model's points
+            np.concatenate((np.stack((f_lo, f_lo, f_hi), axis=1), f_dips)),
+            np.arange(k + len(dips)) >= k,  # a ternary search
+            np.concatenate((f_lo < 0.0, np.zeros(len(dips), dtype=bool))))  # f < 0 at lo
 
-    def run(lo, hi, f_lo, dip_lo, dip_hi, budget):
-        lo, hi, f_lo = np.concatenate((lo, dip_lo)), np.concatenate((hi, dip_hi)), f_lo.copy()
-        k = f_lo.size
-        bis = np.flatnonzero(hi[:k] - lo[:k] > ROOT_WIDTH)
-        ter = k + np.flatnonzero(hi[k:] - lo[k:] > ROOT_WIDTH * 0.1)
-        while bis.size or ter.size:
-            depth = max(1, (budget // (bis.size + 2 * ter.size) + 1).bit_length() - 1)
-            points = np.concatenate(_tree(lo[bis], hi[bis], depth, False)
-                                    + _tree(lo[ter], hi[ter], depth, True))
-            f = _first_derivatives(family, points.ravel())[0].reshape(points.shape)
-            nb, nt = bis.size, ter.size
-            row, node = np.arange(nb), np.zeros(nb, dtype=int)
-            for level in range(depth):
-                if not bis.size:
-                    break
-                mid, f_mid, width = points[row, node], f[row, node], hi[bis] - lo[bis]
-                left = (f_lo[bis] < 0.0) != (f_mid < 0.0)
-                hi[bis[left]] = mid[left]
-                lo[bis[~left]], f_lo[bis[~left]] = mid[~left], f_mid[~left]
-                exact = f_mid == 0.0  # the midpoint is the root: close the bracket on it
-                lo[bis[exact]] = hi[bis[exact]] = mid[exact]
-                new = hi[bis] - lo[bis]
-                keep = (new > ROOT_WIDTH) & (new != width)
-                bis, row, node = bis[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
-            row, node = np.arange(nb, nb + nt), np.zeros(nt, dtype=int)
-            for level in range(depth):
-                if not ter.size:
-                    break
-                width = hi[ter] - lo[ter]
-                left = np.abs(f[row, node]) <= np.abs(f[row + nt, node])
-                hi[ter[left]] = points[row + nt, node][left]
-                lo[ter[~left]] = points[row, node][~left]
-                new = hi[ter] - lo[ter]
-                keep = (new > ROOT_WIDTH * 0.1) & (new != width)
-                ter, row, node = ter[keep], row[keep], (node + (1 << level) + (~left << level))[keep]
-        t = 0.5 * (lo + hi)
-        return t[:k], t[k:]
+    def run(which, deep):
+        a, b, t, f, ter, neg = (column[which] for column in rows)
+        stop = np.where(ter, ROOT_WIDTH * 0.1, ROOT_WIDTH)
+        depth = np.full(which.size, 10 if deep else 1)
+        live = b - a > stop
+        while live.any():
+            r = np.flatnonzero(live)
+            levels = np.ceil(np.log2((b[r] - a[r]) / stop[r]) / np.where(ter[r], _LOG2_3_2, 1.0))
+            d = _fit(np.minimum(depth[r], levels).astype(int), ter[r] + 1)
+            kinds = []  # (rows, depths, path, levels on the path) of each kind of row
+            for ternary in (False, True):
+                mask = (d > 0) & (ter[r] == ternary)
+                s, ds = r[mask], d[mask]
+                if s.size:
+                    path = _path(a[s], b[s], _aim(t[s], f[s], ternary), ds.max(), ternary)
+                    kinds.append((s, ds, path, np.arange(ds.max())[:, None] < ds, ternary))
+            points = [path[j][on] for _, _, path, on, ternary in kinds
+                      for j in ((2, 4) if ternary else (2,))]
+            values = iter(np.split(_first_derivatives(family, np.concatenate(points))[0],
+                                   np.cumsum([p.size for p in points[:-1]])))
+            for s, ds, path, on, ternary in kinds:
+                f1 = np.zeros(on.shape)
+                f1[on] = next(values)
+                f2 = f1
+                if ternary:
+                    f2 = np.zeros(on.shape)
+                    f2[on] = next(values)
+                last, a[s], b[s], retired, whole = _walk(path, f1, f2, ds, neg[s], stop[s], ternary)
+                live[s[retired]] = False
+                depth[s[whole]] = ds[whole] * (2 if deep else 1)
+                # the model's new points: the last three on the true path
+                i = np.arange(s.size)
+                for model, p1, p2 in ((t, path[2], path[4]), (f, f1, f2)):
+                    prev = np.where(last > 0, p2[last - 1, i], model[s, 2])
+                    model[s] = np.stack((prev, p1[last, i] if ternary else prev, p2[last, i]),
+                                        axis=1)
+        return 0.5 * (a + b)
 
-    for budget in (LOOKAHEAD_POINTS, 0):
+    every = np.arange(k + len(dips))
+    for deep in (True, False):
         try:
-            return run(lo, hi, f_lo, dip_lo, dip_hi, budget)
+            t = run(every, deep)
+            return t[:k], t[k:]
         except (ExpressionDomainError, DegenerateFamilyError):
-            if budget:
-                continue  # the failing point may lie off every row's path
-            none = np.empty(0)
-            for i in range(lo.size):
-                run(lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], none, none, 0)
-            for i in range(dip_lo.size):
-                run(none, none, none, dip_lo[i:i + 1], dip_hi[i:i + 1], 0)
+            if deep:
+                continue  # the failing point may lie off every row's true path
+            for i in every:
+                run(every[i:i + 1], False)
             raise
 
 
@@ -342,27 +418,22 @@ def find_gauss_singular_points(scan: GridScan) -> tuple[SingularPoint, ...]:
     # one ternary search per non-flat run of banded points, then one per
     # tangential dip, kept when its minimum falls inside the band
     flat_mids = [float(0.5 * (ts[start] + ts[end])) for start, end in scan.flat_runs]
-    run_lo, run_hi = [], []
-    for start, end in scan.runs:
-        if (start, end) in scan.flat_runs:
-            continue
-        best = start + int(np.argmin(np.abs(tp[start:end + 1])))
-        run_lo.append(ts[max(best - 1, 0)])
-        run_hi.append(ts[min(best + 1, ts.size - 1)])
+    runs = [start + int(np.argmin(np.abs(tp[start:end + 1])))  # each run's least |theta'|
+            for start, end in scan.runs if (start, end) not in scan.flat_runs]
     trigger = _TANGENTIAL_TRIGGER * scan.scale_theta
     inner = w[1:-1]
     dips = (~(inner <= band) & ~(inner > trigger) & (inner <= w[:-2]) & (inner < w[2:])
             & ~sign_change[:-1] & ~sign_change[1:])  # sign changes are handled above
-    i = np.flatnonzero(dips) + 1
+    i = np.concatenate((np.array(runs, dtype=int), np.flatnonzero(dips) + 1))
+    i = np.stack((np.maximum(i - 1, 0), i, np.minimum(i + 1, ts.size - 1)), axis=1)
     found, t_min = _refine(family, ts[brackets], ts[brackets + 1], tp[brackets],
-                           np.concatenate((run_lo, ts[i - 1])),
-                           np.concatenate((run_hi, ts[i + 1])))
+                           tp[brackets + 1], ts[i], tp[i])
     # one pass for |theta'| at every candidate: the minimizers, then the rest
     # in order, so a domain error names the parameter a scan in that order meets
     every = np.concatenate((t_min, np.sort(np.concatenate((found, flat_mids)))))
     size = np.abs(_first_derivatives(family, every)[0]) if every.size else every
     keep = np.ones(every.size, dtype=bool)
-    keep[len(run_lo):t_min.size] = size[len(run_lo):t_min.size] <= band  # dips that touch the band
+    keep[len(runs):t_min.size] = size[len(runs):t_min.size] <= band  # dips that touch the band
     order = np.argsort(every[keep], kind="stable")
     candidates, size = every[keep][order].tolist(), size[keep][order].tolist()
 

@@ -17,7 +17,7 @@ from .analysis import CreatorFunction, GridScan, first_order, parameter_grid
 from .expr import ExpressionDomainError
 from .family import LineFamily
 
-MEMBERSHIP_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-9  # scaled by (1 + max |E|)
 TANGENCY_TOL = 1e-5  # scaled by (1 + max |E'|); doubled at the endpoints
 BLOCK_POINTS = 8192  # samples per pass of the grid-sized stages: bounds their temporaries
 HALO = 1  # samples a difference reads past a block edge; the stencils assume 1
@@ -53,16 +53,20 @@ class VerificationReport:
     n: int  # the number of samples checked
     max_tangency_residual: float
     max_membership_residual: float
-    passed: bool
+    passed: bool  # both residuals within their tolerances, and both tolerances finite
     tangency_tol: float  # TANGENCY_TOL * (1 + max |E'|), doubled at the endpoints
+    membership_tol: float  # MEMBERSHIP_TOL * (1 + max |E|)
 
     @property
     def failure(self) -> str | None:
         """The first failed condition with its residual and tolerance."""
         if self.passed:
             return None
-        if self.max_membership_residual > MEMBERSHIP_TOL:
-            return f"membership residual {self.max_membership_residual!r} > {MEMBERSHIP_TOL}"
+        for name, tol in (("membership", self.membership_tol), ("tangency", self.tangency_tol)):
+            if not np.isfinite(tol):
+                return f"{name} tolerance {tol!r} is not finite (overflow)"
+        if self.max_membership_residual > self.membership_tol:
+            return f"membership residual {self.max_membership_residual!r} > {self.membership_tol!r}"
         return (f"tangency residual {self.max_tangency_residual!r} > {self.tangency_tol!r} "
                 "(doubled at the endpoints)")
 
@@ -129,7 +133,8 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     """Check the defining conditions of an envelope on a sampled curve.
 
     Membership: max |E(t) . nu(t) - a(t)| over the samples, with a(t) the
-    offsets the curve was sampled with.  Tangency: max |E'(t) . nu(t)| with
+    offsets the curve was sampled with, against a tolerance relative to
+    max |E|.  Tangency: max |E'(t) . nu(t)| with
     E' from central differences (second-order one-sided stencils at the
     endpoints, where the tolerance doubles), on strictly increasing
     parameters.  A tangency past the float range is a domain error there.
@@ -143,14 +148,15 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
     if not np.all(ts[1:] > ts[:-1]):
         raise ValueError("envelope verification needs strictly increasing parameters")
 
-    membership, inner, edges, speed = [], [], [], []  # the maxima of each block
-    # a tangency past the float range raises below; |E'|^2 past it, an infinite tolerance
+    membership, inner, edges, size, speed = [], [], [], [], []  # the maxima of each block
+    # a tangency past the float range raises below; |E|^2 or |E'|^2 past it, an infinite tolerance
     with np.errstate(all="ignore"):
         first = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * (ts[1] - ts[0]))
         last = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * (ts[-1] - ts[-2]))
         for lo, hi in _blocks(n):
             membership.append(np.max(np.abs(
                 np.einsum("ij,ij->i", pts[lo:hi], nus[lo:hi]) - curve.offsets[lo:hi])))
+            size.append(np.max(np.einsum("ij,ij->i", pts[lo:hi], pts[lo:hi])))  # |E|^2
             i0, i1 = max(lo, HALO), min(hi, n - HALO)  # the points with a central difference
             ahead, behind = slice(i0 + HALO, i1 + HALO), slice(i0 - HALO, i1 - HALO)
             i0, i1 = i0 - lo, i1 - lo  # within the block, whose other points are ends
@@ -167,6 +173,8 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
             edges.append(np.max(np.r_[tangency[:i0], tangency[i1:]], initial=0.0))
             speed.append(np.max(np.linalg.norm(deriv, axis=1)))
         scale = TANGENCY_TOL * (1.0 + float(np.max(speed)))
+        tol = MEMBERSHIP_TOL * (1.0 + float(np.sqrt(np.max(size))))
     membership, inner, edges = (float(np.max(maxima)) for maxima in (membership, inner, edges))
-    passed = membership <= MEMBERSHIP_TOL and inner <= scale and edges <= 2.0 * scale
-    return VerificationReport(n, max(inner, edges), membership, passed, scale)
+    passed = bool(np.isfinite([tol, scale]).all()  # an infinite band checks nothing
+                  and membership <= tol and inner <= scale and edges <= 2.0 * scale)
+    return VerificationReport(n, max(inner, edges), membership, passed, scale, tol)

@@ -33,6 +33,8 @@ def verify_envelope_reference(curve: EnvelopeCurve) -> VerificationReport:
         raise ValueError("envelope verification needs strictly increasing parameters")
 
     membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - curve.offsets)))
+    with np.errstate(all="ignore"):
+        tol = MEMBERSHIP_TOL * (1.0 + float(np.max(np.linalg.norm(pts, axis=1))))
 
     deriv = np.empty_like(pts)
     with np.errstate(all="ignore"):
@@ -48,5 +50,5 @@ def verify_envelope_reference(curve: EnvelopeCurve) -> VerificationReport:
                                     "the finite difference of the envelope is not finite (overflow)")
     tangency_ok = (float(np.max(tangency[1:-1])) <= scale
                    and float(max(tangency[0], tangency[-1])) <= 2.0 * scale)
-    passed = membership <= MEMBERSHIP_TOL and tangency_ok
-    return VerificationReport(n, float(np.max(tangency)), membership, passed, scale)
+    passed = bool(np.isfinite([tol, scale]).all() and membership <= tol and tangency_ok)
+    return VerificationReport(n, float(np.max(tangency)), membership, passed, scale, tol)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -17,6 +18,8 @@ from envlines import (
     verify_envelope,
 )
 from envlines.analysis import parameter_grid, scan_grid
+from envlines.cli import main
+from envlines.envelope import MEMBERSHIP_TOL
 from conftest import scan_and_singulars
 
 P = parse_expression
@@ -82,6 +85,36 @@ class TestVerifyEnvelope:
         report = verify_envelope(curve)
         assert report.passed
         assert report.max_membership_residual <= 1e-12
+
+    @pytest.mark.parametrize("scale", ["1", "1e6", "1e9"])
+    def test_membership_tolerance_is_relative(self, capsys, scale):
+        # a = s t^4 rescales the s = 1 envelope by s, and its rounding with it:
+        # 1e6 once failed on a membership residual of 3.7e-9 > 1e-9
+        argv = ["analyze", "--theta", "t^3", "--a", f"{scale}*t^4", "--domain", "-0.5:2"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["creativity"]["verdict"] == "creative"
+        assert doc["envelope"]["verification"]["pass"] is True
+
+    def test_membership_tolerance_scales_with_the_curve(self, sine_tangent):
+        curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)
+        report = verify_envelope(curve)
+        size = float(np.max(np.hypot(curve.points[:, 0], curve.points[:, 1])))
+        assert report.membership_tol == pytest.approx(MEMBERSHIP_TOL * (1.0 + size), rel=1e-15)
+        shifted = replace(curve, offsets=curve.offsets + 2.0 * report.membership_tol)
+        failed = verify_envelope(shifted)
+        assert failed.passed is False
+        assert failed.failure == (f"membership residual {failed.max_membership_residual!r} "
+                                  f"> {failed.membership_tol!r}")
+
+    def test_an_infinite_tolerance_fails(self, sine_tangent):
+        # |E| and |E'| overflow, so both bands are infinite: no residual passes them
+        curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 4001)
+        huge = replace(curve, points=curve.points * 1e200, offsets=curve.offsets * 1e200)
+        report = verify_envelope(huge)
+        assert report.passed is False and math.isinf(report.tangency_tol)
+        assert report.failure == "membership tolerance inf is not finite (overflow)"
+        assert verify_envelope(curve).passed is True
 
     def test_corrupted_curve_fails_with_predicted_residual(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)

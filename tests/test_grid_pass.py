@@ -30,21 +30,6 @@ def _run(argv):
         return main(argv)
 
 
-@pytest.fixture
-def large_passes(monkeypatch):
-    """Sizes of the coefficient-jet evaluations over more than 1,000 parameters."""
-    sizes = []
-    original = family_module.LineFamily.coeff_jets
-
-    def spy(self, t, order):
-        if np.size(t) > 1000:
-            sizes.append(np.size(t))
-        return original(self, t, order)
-
-    monkeypatch.setattr(family_module.LineFamily, "coeff_jets", spy)
-    return sizes
-
-
 def _check_each_grid_evaluated_once(monkeypatch, grid_n):
     """The scan's pass over the analysis grid; the envelope there evaluates
     nothing, and the 4(n-1)+1-point verification grid evaluates only the
@@ -89,10 +74,33 @@ def test_default_creative_run_evaluates_each_grid_once(monkeypatch):
     _check_each_grid_evaluated_once(monkeypatch, 1001)  # 3,000 verification parameters
 
 
-def test_non_creative_run_evaluates_its_grid_once(large_passes):
-    # not creative, so no envelope: the analysis grid alone
+def test_non_creative_run_evaluates_its_grid_once(monkeypatch):
+    # not creative, so no envelope: the analysis grid is evaluated once, every
+    # other pass keeps within the refinement's budget, and the refinement's
+    # passes together evaluate at most a quarter more parameters than passes
+    # of one level each (24,312)
+    calls, refining = [], [False]
+    coeff_jets, refine = family_module.LineFamily.coeff_jets, analysis._refine
+
+    def spy(self, t, order):
+        calls.append((refining[0], np.array(t, dtype=float, copy=True, ndmin=1)))
+        return coeff_jets(self, t, order)
+
+    def refined(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(family_module.LineFamily, "coeff_jets", spy)
+    monkeypatch.setattr(analysis, "_refine", refined)
     assert _run(SINE_EVOLUTE_WIDE) == 3
-    assert large_passes == [10001]
+    grid = analysis.parameter_grid((-1000.0, 1000.0), 10001)
+    on_grid = [np.array_equal(t, grid) for _, t in calls]
+    assert on_grid.count(True) == 1
+    assert max(t.size for (_, t), g in zip(calls, on_grid) if not g) <= analysis.PASS_POINTS
+    assert sum(t.size for inside, t in calls if inside) <= 1.25 * 24_312
 
 
 @pytest.fixture
@@ -133,11 +141,13 @@ def test_wide_creative_run_makes_no_scalar_jet_call(passes):
 
 
 @pytest.mark.parametrize("example, sequence", [
-    # the grid, the look-ahead passes of 6 bisections and 1 ternary search,
-    # theta' at the minimizer and the 6 roots, the order-6 classification
-    (1, [(1001, 1)] + [(120, 1)] * 9 + [(126, 1)] * 5 + [(7, 1), (136, 6)]),
-    # one ternary search; theta' at its minimizer serves the band test and the merge
-    (5, [(1001, 1)] + [(126, 1)] * 11 + [(1, 1), (130, 6)]),
+    # the grid; the predicted paths of 6 bisections and 1 ternary search, 10
+    # levels deep, then 20, then the levels each has left (5 and 36); theta'
+    # at the minimizer and the 6 roots; the order-6 classification
+    (1, [(1001, 1), (80, 1), (160, 1), (102, 1), (7, 1), (136, 6)]),
+    # one ternary search, 10 + 20 + 31 levels; theta' at its minimizer serves
+    # the band test and the merge
+    (5, [(1001, 1), (20, 1), (40, 1), (62, 1), (1, 1), (130, 6)]),
 ])
 def test_singular_point_search_pass_sequence(passes, example, sequence):
     family = _build_family(parse_cli(["analyze", "--example", str(example)]))
