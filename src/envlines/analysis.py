@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
-from .family import DegenerateFamilyError, LineFamily
+from .family import LineFamily
 from .jets import MAX_ORDER, _div
 
 EPS_SING = 1e-9       # |theta'| band for "singular point of the Gauss map"
@@ -176,76 +176,65 @@ def grid_profile(scan: GridScan) -> dict[str, float]:
 
 # -- root refinement ---------------------------------------------------------
 
-def _aim(t: np.ndarray, f: np.ndarray, ternary: bool) -> np.ndarray:
+def _aim(t: np.ndarray, f: np.ndarray, ternary: np.ndarray) -> np.ndarray:
     """Where the models of theta' through each row's latest points t (oldest
     first, theta' there f) put the point its search ends on: the root of the
-    secant through the last two for a bisection; for a ternary search, the
+    secant through the last two on a bisection row; on a ternary row, the
     root of the parabola through all three that is nearest the last point,
     or its vertex where it has no root.  NaN where a model is degenerate."""
     (t0, t1, t2), (f0, f1, f2) = t.T, f.T
     with np.errstate(all="ignore"):
         d2 = (f2 - f1) / (t2 - t1)
-        if not ternary:
-            return t2 - f2 / d2
         c = (d2 - (f1 - f0) / (t1 - t0)) / (t2 - t0)
         slope = d2 + c * (t2 - t1)  # the parabola is f2 + slope u + c u^2, u = t - t2
         disc = slope * slope - 4.0 * c * f2
-        return t2 + np.where(disc >= 0.0, -2.0 * f2 / (slope + np.copysign(np.sqrt(disc), slope)),
-                             -0.5 * slope / c)
+        root = -2.0 * f2 / (slope + np.copysign(np.sqrt(disc), slope))
+        return np.where(ternary, t2 + np.where(disc >= 0.0, root, -0.5 * slope / c), t2 - f2 / d2)
 
 
 def _fit(depth: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The depths of a pass's rows (``points`` parameters a level) cut to the
-    largest common cap that keeps the pass within PASS_POINTS parameters;
-    where not even one level each fits, the first rows that fit take one
-    level and the others wait for a later pass."""
+    """The depths of a pass's rows (``points`` parameters a level), kept
+    when the pass stays within PASS_POINTS parameters and otherwise cut to
+    as many levels as fit for every row at once; where not even one level
+    each fits, the first rows that fit take one level and the others wait
+    for a later pass."""
     if depth @ points <= PASS_POINTS:
         return depth
-    weight = np.bincount(depth, weights=points)
-    levels = np.arange(weight.size)
-    cost = np.cumsum(weight * levels) + levels * (weight.sum() - np.cumsum(weight))
-    cap = int(np.searchsorted(cost, PASS_POINTS, side="right")) - 1
-    return np.minimum(depth, cap) if cap else (np.cumsum(points) <= PASS_POINTS).astype(int)
+    cap = max(PASS_POINTS // int(points.sum()), 1)
+    return np.minimum(depth, cap) * (np.cumsum(points) <= PASS_POINTS)
 
 
 def _path(lo: np.ndarray, hi: np.ndarray, aim: np.ndarray, depth: int,
-          ternary: bool) -> list[np.ndarray]:
+          ternary: np.ndarray) -> list[np.ndarray]:
     """The first ``depth`` levels of the path each row's steps take if every
     outcome is the predicted one, toward lo where ``aim`` is at or below the
     bracket's midpoint: arrays (levels x rows) of the brackets, the first
     points a step places in them, the predictions and the second points.
-    The points are the midpoint (twice), or the two trisection points, each
-    computed as a step computes it."""
+    The points are the two trisection points on a ternary row and the
+    midpoint, twice, on a bisection row, each computed as a step computes it."""
     levels = []
     for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        if ternary:
-            third = (hi - lo) / 3.0
-            m1, m2 = lo + third, hi - third
-        else:
-            m1 = m2 = mid
+        mid, third = 0.5 * (lo + hi), (hi - lo) / 3.0
+        m1, m2 = np.where(ternary, lo + third, mid), np.where(ternary, hi - third, mid)
         toward_lo = aim <= mid
-        levels.append((lo, hi, m1, toward_lo, m2) if ternary else (lo, hi, m1, toward_lo))
+        levels.append((lo, hi, m1, toward_lo, m2))
         lo, hi = np.where(toward_lo, lo, m1), np.where(toward_lo, m2, hi)
-    path = [np.array(column) for column in zip(*levels)]
-    return path if ternary else path + [path[2]]
+    return [np.array(column) for column in zip(*levels)]
 
 
 def _walk(path: list[np.ndarray], f1: np.ndarray, f2: np.ndarray, depth: np.ndarray,
-          negative: np.ndarray, stop: np.ndarray, ternary: bool) -> tuple[np.ndarray, ...]:
+          negative: np.ndarray, stop: np.ndarray, ternary: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rules of a step applied along each row's path, where theta' is f1
-    and f2 at its points: each row stops after a level that retires it or
-    whose outcome was not the predicted one, or after its last level.  The
-    level it stopped at, its bracket then, whether it retired, and whether
-    its whole path held."""
+    and f2 at its points: a ternary row keeps the side of the smaller
+    |theta'|, a bisection row the side of the sign change, closing on a
+    midpoint where theta' is 0.  Each row stops after a level that retires
+    it or whose outcome was not the predicted one, or after its last level.
+    The level it stopped at, its bracket then, whether it retired, and
+    whether its whole path held."""
     lo, hi, m1, toward_lo, m2 = path
-    if ternary:
-        left = np.abs(f1) <= np.abs(f2)
-        new_lo, new_hi = np.where(left, lo, m1), np.where(left, m2, hi)
-    else:
-        left = negative != (f1 < 0.0)
-        exact = f1 == 0.0  # the midpoint is the root: close the bracket on it
-        new_lo, new_hi = np.where(left & ~exact, lo, m1), np.where(left | exact, m1, hi)
+    left = np.where(ternary, np.abs(f1) <= np.abs(f2), negative != (f1 < 0.0))
+    exact = ~ternary & (f1 == 0.0)
+    new_lo, new_hi = np.where(left & ~exact, lo, m1), np.where(left | exact, m2, hi)
     width = new_hi - new_lo
     retired = (width <= stop) | (width == hi - lo)
     held = left == toward_lo
@@ -270,16 +259,19 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
     its latest points (``_aim``), seeded with the points it is given.  A pass
     lays out, for each open row, the path its steps take if every outcome is
     the one the model predicts (``_path``), and evaluates every path in one
-    array pass.  A path is 10 levels deep at first and twice the levels
-    walked after a pass whose whole path held, cut to the levels the row has
-    left and to PASS_POINTS parameters a pass (``_fit``).  Each row then
-    applies the rules of a step level by level (``_walk``).  The model only
-    sets how far a pass gets: the points are computed as a step computes
-    them and the array jets round like the float jets, so each row ends on
-    the bits of a loop over the rows.  A domain error, perhaps off every
-    row's true path, runs the refinement again one level per pass; if that
-    fails too, the rows are replayed one at a time, bisections first, so the
-    error names the parameter such a loop meets first."""
+    array pass.  A row's kind is a mask, not a second code path: a bisection
+    step is a ternary step whose two points are both the midpoint, so each
+    pass lays out, evaluates and walks every open row once.  A path is 10
+    levels deep at first and twice the levels walked after a pass whose
+    whole path held, cut to the levels the row has left and to PASS_POINTS
+    parameters a pass (``_fit``).  Each row then applies the rules of a step
+    level by level (``_walk``).  The model only sets how far a pass gets: the
+    points are computed as a step computes them and the array jets round
+    like the float jets, so each row ends on the bits of a loop over the
+    rows.  A domain error, perhaps off every row's true path, runs the
+    refinement again one level per pass; if that fails too, the rows are
+    replayed one at a time, bisections first, so the error names the
+    parameter such a loop meets first."""
     k = lo.size
     rows = (np.concatenate((lo, dips[:, 0])), np.concatenate((hi, dips[:, 2])),
             np.concatenate((np.stack((lo, lo, hi), axis=1), dips)),  # the model's points
@@ -296,33 +288,26 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
             r = np.flatnonzero(live)
             levels = np.ceil(np.log2((b[r] - a[r]) / stop[r]) / np.where(ter[r], _LOG2_3_2, 1.0))
             d = _fit(np.minimum(depth[r], levels).astype(int), ter[r] + 1)
-            kinds = []  # (rows, depths, path, levels on the path) of each kind of row
-            for ternary in (False, True):
-                mask = (d > 0) & (ter[r] == ternary)
-                s, ds = r[mask], d[mask]
-                if s.size:
-                    path = _path(a[s], b[s], _aim(t[s], f[s], ternary), ds.max(), ternary)
-                    kinds.append((s, ds, path, np.arange(ds.max())[:, None] < ds, ternary))
-            points = [path[j][on] for _, _, path, on, ternary in kinds
-                      for j in ((2, 4) if ternary else (2,))]
-            values = iter(np.split(_first_derivatives(family, np.concatenate(points))[0],
-                                   np.cumsum([p.size for p in points[:-1]])))
-            for s, ds, path, on, ternary in kinds:
-                f1 = np.zeros(on.shape)
-                f1[on] = next(values)
-                f2 = f1
-                if ternary:
-                    f2 = np.zeros(on.shape)
-                    f2[on] = next(values)
-                last, a[s], b[s], retired, whole = _walk(path, f1, f2, ds, neg[s], stop[s], ternary)
-                live[s[retired]] = False
-                depth[s[whole]] = ds[whole] * (2 if deep else 1)
-                # the model's new points: the last three on the true path
-                i = np.arange(s.size)
-                for model, p1, p2 in ((t, path[2], path[4]), (f, f1, f2)):
-                    prev = np.where(last > 0, p2[last - 1, i], model[s, 2])
-                    model[s] = np.stack((prev, p1[last, i] if ternary else prev, p2[last, i]),
-                                        axis=1)
+            s, ds = r[d > 0], d[d > 0]
+            ternary = ter[s]
+            path = _path(a[s], b[s], _aim(t[s], f[s], ternary), ds.max(), ternary)
+            on = np.arange(ds.max())[:, None] < ds
+            # theta' at the first point of every level on a path, then at
+            # the second point of every ternary level
+            evaluated = np.stack((on, on & ternary))
+            values = np.zeros(evaluated.shape)
+            values[evaluated] = _first_derivatives(
+                family, np.stack((path[2], path[4]))[evaluated])[0]
+            f1, f2 = values[0], np.where(ternary, values[1], values[0])
+            last, a[s], b[s], retired, whole = _walk(path, f1, f2, ds, neg[s], stop[s], ternary)
+            live[s[retired]] = False
+            depth[s[whole]] = ds[whole] * (2 if deep else 1)
+            # the model's new points: the last three on the true path
+            i = np.arange(s.size)
+            for model, p1, p2 in ((t, path[2], path[4]), (f, f1, f2)):
+                prev = np.where(last > 0, p2[last - 1, i], model[s, 2])
+                model[s] = np.stack((prev, np.where(ternary, p1[last, i], prev), p2[last, i]),
+                                    axis=1)
         return 0.5 * (a + b)
 
     every = np.arange(k + len(dips))
@@ -330,7 +315,7 @@ def _refine(family: LineFamily, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray
         try:
             t = run(every, deep)
             return t[:k], t[k:]
-        except (ExpressionDomainError, DegenerateFamilyError):
+        except ExpressionDomainError:
             if deep:
                 continue  # the failing point may lie off every row's true path
             for i in every:

@@ -40,7 +40,7 @@ from .analysis import (
 )
 from .discriminant import ComparisonReport
 from .expr import MAX_NESTING, ExpressionDomainError, ParseError, parse_expression
-from .family import DegenerateFamilyError, LineFamily, OutOfDomainError
+from .family import LineFamily, OutOfDomainError
 
 COMMANDS = ("analyze", "envelope", "discriminant", "compare", "plot")
 DEFAULT_GRID_N = 1001
@@ -605,8 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:  # an unwritable --output
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (ParseError, ExpressionDomainError, DegenerateFamilyError,
-            OutOfDomainError, InvalidCreatorError) as err:
+    except (ParseError, ExpressionDomainError, OutOfDomainError, InvalidCreatorError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_EXPR_ERROR
 

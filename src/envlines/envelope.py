@@ -149,14 +149,14 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
         raise ValueError("envelope verification needs strictly increasing parameters")
 
     membership, inner, edges, size, speed = [], [], [], [], []  # the maxima of each block
-    # a tangency past the float range raises below; |E|^2 or |E'|^2 past it, an infinite tolerance
+    # a tangency past the float range raises below; |E| or |E'| past it, an infinite tolerance
     with np.errstate(all="ignore"):
         first = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * (ts[1] - ts[0]))
         last = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * (ts[-1] - ts[-2]))
         for lo, hi in _blocks(n):
             membership.append(np.max(np.abs(
                 np.einsum("ij,ij->i", pts[lo:hi], nus[lo:hi]) - curve.offsets[lo:hi])))
-            size.append(np.max(np.einsum("ij,ij->i", pts[lo:hi], pts[lo:hi])))  # |E|^2
+            size.append(np.max(np.hypot(pts[lo:hi, 0], pts[lo:hi, 1])))  # |E|
             i0, i1 = max(lo, HALO), min(hi, n - HALO)  # the points with a central difference
             ahead, behind = slice(i0 + HALO, i1 + HALO), slice(i0 - HALO, i1 - HALO)
             i0, i1 = i0 - lo, i1 - lo  # within the block, whose other points are ends
@@ -171,9 +171,9 @@ def verify_envelope(curve: EnvelopeCurve) -> VerificationReport:
                     "the finite difference of the envelope is not finite (overflow)")
             inner.append(np.max(tangency[i0:i1], initial=0.0))
             edges.append(np.max(np.r_[tangency[:i0], tangency[i1:]], initial=0.0))
-            speed.append(np.max(np.linalg.norm(deriv, axis=1)))
+            speed.append(np.max(np.hypot(deriv[:, 0], deriv[:, 1])))
         scale = TANGENCY_TOL * (1.0 + float(np.max(speed)))
-        tol = MEMBERSHIP_TOL * (1.0 + float(np.sqrt(np.max(size))))
+        tol = MEMBERSHIP_TOL * (1.0 + float(np.max(size)))
     membership, inner, edges = (float(np.max(maxima)) for maxima in (membership, inner, edges))
     passed = bool(np.isfinite([tol, scale]).all()  # an infinite band checks nothing
                   and membership <= tol and inner <= scale and edges <= 2.0 * scale)

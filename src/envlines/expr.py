@@ -345,10 +345,12 @@ class JetProgram:
     expressions taken in turn, so a subexpression that occurs again, in the
     same expression or a later one, is evaluated once per pass; sin, cos and
     tan of one argument share one sine-cosine recurrence.  A pass releases
-    each value after its last use and keeps only the jets of the expressions.
+    each value after its last use and keeps only the jets of the expressions,
+    which ``finish(t, order, *jets)``, when given, turns into the result.
     """
 
-    def __init__(self, exprs: tuple[ExpressionAst, ...]):
+    def __init__(self, exprs: tuple[ExpressionAst, ...], finish=None):
+        self._finish = finish
         self._code: list = []  # (step, node whose domain it checks or None, argument slots)
         self._slots: dict = {}  # structural key -> slot
         self._roots = [self._visit(expr) for expr in exprs]  # the slot of each expression
@@ -399,7 +401,7 @@ class JetProgram:
         return self._emit((node.func, x), lambda regs, t, k: f(regs[x], regs[sc]), node, (x, sc))
 
     def run(self, t, order: int) -> tuple[Jet, ...]:
-        """One pass at ``t``: the jets of the expressions."""
+        """One pass at ``t``: the jets of the expressions, or what ``finish`` makes of them."""
         regs: list = [None] * len(self._code)
         for i, (step, node, dead) in enumerate(self._code):
             if node is None:
@@ -411,7 +413,8 @@ class JetProgram:
                     raise ExpressionDomainError(unparse(node), t, str(err)) from err
             for slot in dead:
                 regs[slot] = None
-        return tuple(regs[slot] for slot in self._roots)
+        roots = tuple(regs[slot] for slot in self._roots)
+        return roots if self._finish is None else self._finish(t, order, *roots)
 
 
 def evaluate_jet(expr: ExpressionAst | JetProgram, t, order: int) -> Jet | tuple[Jet, ...]:

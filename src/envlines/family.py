@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .expr import (ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet,
-                   named_pass, unparse)
+from .expr import ExpressionAst, ExpressionDomainError, JetProgram, evaluate_jet, unparse
 from .jets import Jet, JetDomainError, any_point, differentiate, truncate
 
 DEFAULT_DOMAIN = (-10.0, 10.0)
@@ -28,14 +27,16 @@ _BUILD_GRID_N = 257
 _Recipe = Callable[..., tuple[Jet, Jet, Jet]]  # (t, order, *source jets) -> (c, s, a)
 
 
-class DegenerateFamilyError(ValueError):
-    """A^2 + B^2 fell below the degeneracy threshold at some parameter."""
+class DegenerateFamilyError(ExpressionDomainError):
+    """A^2 + B^2 fell below the degeneracy threshold at some parameter: a
+    domain error of ``A^2 + B^2`` with a message of its own."""
 
     def __init__(self, t: float, value: float):
-        self.t = t
-        super().__init__(
+        ValueError.__init__(
+            self,
             f"degenerate line coefficients at t = {t!r}: A^2 + B^2 = {value!r} <= {EPS_DEGENERATE}"
         )
+        self.subexpr, self.t = "A^2 + B^2", t
 
 
 class OutOfDomainError(ValueError):
@@ -56,8 +57,9 @@ class LineFamily:
     """Immutable normalized family; all evaluation goes through its jets.
 
     Each ``coeff_jets`` pass runs the source expressions' ``JetProgram``,
-    compiled once, over a whole grid at a time.  Nothing is memoized, so
-    memory grows with the grid, not with the queries.
+    compiled once with the recipe as its finish, over a whole grid at a
+    time.  Nothing is memoized, so memory grows with the grid, not with the
+    queries.
     """
 
     def __init__(self, mode: str, domain: tuple[float, float],
@@ -68,8 +70,7 @@ class LineFamily:
         self.mode = mode
         self.domain = (lo, hi)
         self.source_exprs = dict(source_exprs)
-        self._program = JetProgram(tuple(self.source_exprs.values()))
-        self._recipe = recipe
+        self._program = JetProgram(tuple(self.source_exprs.values()), recipe)
 
     def __repr__(self) -> str:
         exprs = ", ".join(f"{k}={unparse(v)!r}" for k, v in self.source_exprs.items())
@@ -91,24 +92,7 @@ class LineFamily:
         grid; a domain error then names the first failing parameter, as a
         loop over the grid would.
         """
-        if not isinstance(t, np.ndarray):
-            return self._coeffs(float(t), order)
-        t = t.astype(float, copy=False)
-        errors = (ExpressionDomainError, DegenerateFamilyError)
-        with np.errstate(all="ignore"):  # overflow is an error, raised by require_finite
-            try:
-                return self._coeffs(t, order)
-            except errors as err:
-                # evaluate_jet has named the first parameter where the sources
-                # fail (a recipe error holds the array): only the recipe can
-                # fail before it, so one more bisection covers that prefix
-                stop = t.size if isinstance(err.t, np.ndarray) else int(np.argmax(t == err.t))
-                if stop:
-                    named_pass(lambda u: self._coeffs(u, order), t[:stop], errors)
-                raise
-
-    def _coeffs(self, t, order: int) -> tuple[Jet, Jet, Jet]:
-        return self._recipe(t, order, *evaluate_jet(self._program, t, order))
+        return evaluate_jet(self._program, t, order)
 
     def derivative_jets(self, t, order: int) -> tuple[Jet, Jet]:
         """Jets of theta' = c s' - s c' and of a', both of order ``order - 1``,

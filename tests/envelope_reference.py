@@ -34,7 +34,7 @@ def verify_envelope_reference(curve: EnvelopeCurve) -> VerificationReport:
 
     membership = float(np.max(np.abs(np.einsum("ij,ij->i", pts, nus) - curve.offsets)))
     with np.errstate(all="ignore"):
-        tol = MEMBERSHIP_TOL * (1.0 + float(np.max(np.linalg.norm(pts, axis=1))))
+        tol = MEMBERSHIP_TOL * (1.0 + float(np.max(np.hypot(pts[:, 0], pts[:, 1]))))
 
     deriv = np.empty_like(pts)
     with np.errstate(all="ignore"):
@@ -43,7 +43,7 @@ def verify_envelope_reference(curve: EnvelopeCurve) -> VerificationReport:
         deriv[0] = (-3.0 * pts[0] + 4.0 * pts[1] - pts[2]) / (2.0 * h0)
         deriv[-1] = (3.0 * pts[-1] - 4.0 * pts[-2] + pts[-3]) / (2.0 * h1)
         tangency = np.abs(np.einsum("ij,ij->i", deriv, nus))
-        scale = TANGENCY_TOL * (1.0 + float(np.max(np.linalg.norm(deriv, axis=1))))
+        scale = TANGENCY_TOL * (1.0 + float(np.max(np.hypot(deriv[:, 0], deriv[:, 1]))))
     bad = np.flatnonzero(~np.isfinite(tangency))
     if bad.size:
         raise ExpressionDomainError("dE/dt", float(ts[bad[0]]),

@@ -19,7 +19,7 @@ from envlines import (
 )
 from envlines.analysis import parameter_grid, scan_grid
 from envlines.cli import main
-from envlines.envelope import MEMBERSHIP_TOL
+from envlines.envelope import MEMBERSHIP_TOL, TANGENCY_TOL, VerificationReport
 from conftest import scan_and_singulars
 
 P = parse_expression
@@ -96,6 +96,16 @@ class TestVerifyEnvelope:
         assert doc["creativity"]["verdict"] == "creative"
         assert doc["envelope"]["verification"]["pass"] is True
 
+    @pytest.mark.parametrize("scale", ["1e160", "1e200", "1e300"])
+    def test_tolerances_stay_finite_past_the_squared_norms(self, capsys, scale):
+        # |E|^2 passes the float range from |E| of about 1.3e154 on: the bands
+        # once read inf there and the run exited 4 on an overflowed tolerance
+        argv = ["analyze", "--theta", "t^3", "--a", f"{scale}*t^4", "--domain", "-0.5:2"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["creativity"]["verdict"] == "creative"
+        assert doc["envelope"]["verification"]["pass"] is True
+
     def test_membership_tolerance_scales_with_the_curve(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)
         report = verify_envelope(curve)
@@ -107,14 +117,36 @@ class TestVerifyEnvelope:
         assert failed.failure == (f"membership residual {failed.max_membership_residual!r} "
                                   f"> {failed.membership_tol!r}")
 
-    def test_an_infinite_tolerance_fails(self, sine_tangent):
-        # |E| and |E'| overflow, so both bands are infinite: no residual passes them
+    @pytest.mark.parametrize("factor", [1e200, 1e305])
+    def test_a_huge_curve_verifies_as_the_unscaled_one(self, sine_tangent, factor):
+        # |E|^2 and |E'|^2 overflow here, |E| and |E'| do not: the residuals
+        # and both bands scale with the curve, and it verifies as the unscaled one
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 4001)
-        huge = replace(curve, points=curve.points * 1e200, offsets=curve.offsets * 1e200)
-        report = verify_envelope(huge)
-        assert report.passed is False and math.isinf(report.tangency_tol)
+        huge = replace(curve, points=curve.points * factor, offsets=curve.offsets * factor)
+        report, unscaled = verify_envelope(huge), verify_envelope(curve)
+        assert report.passed is True and unscaled.passed is True
+        size = float(np.max(np.hypot(curve.points[:, 0], curve.points[:, 1])))
+        assert report.membership_tol == pytest.approx(MEMBERSHIP_TOL * factor * size, rel=1e-12)
+        assert report.tangency_tol == pytest.approx(
+            factor * (unscaled.tangency_tol - TANGENCY_TOL), rel=1e-12)
+        assert report.max_tangency_residual == pytest.approx(
+            factor * unscaled.max_tangency_residual, rel=1e-6)
+        assert report.max_membership_residual <= factor * 1e-14
+
+    def test_an_infinite_tolerance_fails(self):
+        # an infinite band checks nothing: no residual passes it
+        report = VerificationReport(4001, 0.0, 0.0, False, math.inf, math.inf)
         assert report.failure == "membership tolerance inf is not finite (overflow)"
-        assert verify_envelope(curve).passed is True
+        report = replace(report, membership_tol=1.0)
+        assert report.failure == "tangency tolerance inf is not finite (overflow)"
+        # E' = (1.3e308, 1.3e308) is finite, and so is E' . nu for nu = (1, 0),
+        # but |E'| is not: the tangency band is infinite and the check fails
+        ts = np.arange(5) * 1e-298
+        x = np.arange(5) * 1.3e10
+        nus = np.tile([1.0, 0.0], (5, 1))
+        report = verify_envelope(EnvelopeCurve(ts, np.column_stack((x, x)), nus, x, x))
+        assert report.passed is False and math.isinf(report.tangency_tol)
+        assert report.failure == "tangency tolerance inf is not finite (overflow)"
 
     def test_corrupted_curve_fails_with_predicted_residual(self, sine_tangent):
         curve = sample_envelope(sine_tangent, canonical_creator(sine_tangent), 1001)

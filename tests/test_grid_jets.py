@@ -92,3 +92,29 @@ def test_degenerate_parameter_named_as_on_the_float_path():
             family.coeff_jets(t, 1)
     assert grid_err.value.t == float_err.value.t == 0.3
     assert str(grid_err.value) == str(float_err.value)
+
+
+def test_degenerate_family_error_is_a_domain_error():
+    # one except clause covers the sources and the recipe
+    family = build_family_general(P("t - 0.3"), P("0"), P("1"), (-1.0, 1.0))
+    with pytest.raises(ExpressionDomainError) as err:
+        family.coeff_jets(0.3, 0)
+    assert isinstance(err.value, DegenerateFamilyError)
+    assert (err.value.subexpr, err.value.t) == ("A^2 + B^2", 0.3)
+    assert str(err.value) == ("degenerate line coefficients at t = 0.3: "
+                              "A^2 + B^2 = 0.0 <= 1e-12")
+
+
+def test_recipe_failure_before_a_source_failure_is_named_first():
+    # the recipe fails at t = 0.3 (A^2 + B^2 = 0), the source C at t = 0.7
+    # (log of -0.1), later in the array: the array pass names 0.3, as a loop does
+    family = build_family_general(P("t - 0.3"), P("0"), P("log(0.6 - t)"), (-1.0, 0.55))
+    ts = np.array([0.1, 0.5, 0.3, 0.59, 0.7, -0.2])
+    with pytest.raises(ExpressionDomainError) as grid_err:
+        family.coeff_jets(ts, 1)
+    with pytest.raises(ExpressionDomainError) as float_err:
+        for t in ts.tolist():
+            family.coeff_jets(t, 1)
+    assert isinstance(grid_err.value, DegenerateFamilyError)
+    assert grid_err.value.t == float_err.value.t == 0.3
+    assert str(grid_err.value) == str(float_err.value)

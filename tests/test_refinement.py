@@ -307,6 +307,38 @@ def test_example_1_search_makes_few_jet_passes(pass_sizes):
     assert len(pass_sizes) <= 8  # a look-ahead tree took 17, one level per pass 69
 
 
+@pytest.mark.parametrize("example", [1, 6])
+def test_each_pass_lays_out_and_walks_every_row_once(monkeypatch, example):
+    # 6 bisections and 1 ternary search: both kinds of row share each pass's
+    # one path, one array pass of the jets and one walk
+    calls, refining = [], [False]
+
+    def spy(name):
+        original = getattr(analysis, name)
+
+        def wrapped(*args):
+            if refining[0]:
+                calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(analysis, name, wrapped)
+
+    for name in ("_path", "_first_derivatives", "_walk"):
+        spy(name)
+    refine = analysis._refine
+
+    def refined(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(analysis, "_refine", refined)
+    points = find_gauss_singular_points(scan_grid(_FAMILIES[example], 1001))
+    assert len(points) == 7
+    assert calls == ["_path", "_first_derivatives", "_walk"] * 3  # 10, 20, then the rest
+
+
 @pytest.mark.parametrize("example", [2, 3, 4, 7])
 def test_no_pass_over_an_empty_array(pass_sizes, example):
     # these examples have nothing to bisect or to search
